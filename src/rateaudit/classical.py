@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix
+from .matcore import as_matrix
 from .generator import HEISENBERG, SCHROEDINGER, Superoperator, adjoint_superoperator
 
 

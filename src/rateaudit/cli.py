@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -18,7 +17,6 @@ import numpy as np
 from .matcore import ToleranceConfig
 from .generator import (
     GeneratorSpec,
-    Superoperator,
     adjoint_superoperator,
     build_superoperator,
     relaxation_rates,
@@ -27,7 +25,6 @@ from .generator import (
 )
 from .positivity import (
     CERTIFIED_FAIL,
-    CERTIFIED_PASS,
     NO_VIOLATION_FOUND,
     VIOLATION_FOUND,
     SamplerConfig,
@@ -36,7 +33,7 @@ from .positivity import (
     check_dissipativity,
 )
 from .kms import WeightedInnerProduct, bendixson_interval, kms_adjoint, symmetrized_generator
-from .bounds import audit_rates, audit_steady_states, steady_state_bound
+from .bounds import audit_rates, audit_steady_states
 from .timedep import TimeDependentSpec, builtin_tanh_example, divisibility_audit, piecewise_spec
 
 EXIT_PASS = 0
@@ -361,17 +358,6 @@ def random_ccp_spec(rng, d: int) -> GeneratorSpec:
     return GeneratorSpec(hamiltonian=h, jumps=tuple(jumps))
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("RATEAUDIT_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"RATEAUDIT_THREADS must be an integer, got {raw!r}")
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def cmd_sample(args) -> int:
     t0 = time.monotonic()
     if args.d < 2 or args.count < 1:
@@ -386,14 +372,7 @@ def cmd_sample(args) -> int:
         audit = audit_rates(rr, audit_class, args.d)
         return audit.satisfied, audit.margin
 
-    workers = _worker_count()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, range(args.count)))
-    else:
-        results = [one(i) for i in range(args.count)]
+    results = [one(i) for i in range(args.count)]
     n_pass = sum(1 for ok, _ in results if ok)
     worst = min(m for _, m in results)
     report_doc = _base_report("sample", "-", args.seed)
@@ -475,6 +454,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+
+
 def _add_common(p):
     p.add_argument("--tol", type=float, default=None, help="override psd tolerance")
     p.add_argument("--format", choices=("json", "text"), default="json")
@@ -502,9 +490,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--ccp", action="store_true")
-    group.add_argument("--k", type=int, default=None)
+    group.add_argument("--k", type=_positive_int, default=None)
     group.add_argument("--dissipative", action="store_true")
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--require-certified", action="store_true")
     _add_common(p)
@@ -516,9 +504,9 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(_DIV_CLASSES))
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t1", type=float, required=True)
-    p.add_argument("--grid", type=int, default=30)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--grid", type=_positive_int, default=30)
+    p.add_argument("--steps", type=_positive_int, default=100)
+    p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_divisibility)

@@ -1,7 +1,7 @@
 """Markovian generators: construction, spectra, Choi matrices, steady states."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -14,7 +14,6 @@ from .matcore import (
     eig_general,
     is_hermitian,
     numerical_kernel,
-    psd_min_eig,
     spectral_norm,
     vectorize,
 )

@@ -11,9 +11,8 @@ from .matcore import (
     as_matrix,
     frac_power_psd,
     is_hermitian,
-    vectorize,
 )
-from .generator import HEISENBERG, SCHROEDINGER, Superoperator, adjoint_superoperator
+from .generator import HEISENBERG, Superoperator, adjoint_superoperator
 
 
 class WeightedInnerProduct:

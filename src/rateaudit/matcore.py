@@ -105,7 +105,6 @@ def psd_min_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
     h = 0.5 * (m + m.conj().T)
     vals, vecs = np.linalg.eigh(h)
     min_eig = float(vals[0])
-    scale = max(1.0, float(vals[-1]) if vals.size else 1.0, abs(min_eig))
     is_psd = min_eig >= -tol.psd_tol * max(1.0, spectral_norm(h))
     return min_eig, is_psd, vecs[:, 0].copy()
 

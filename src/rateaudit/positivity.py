@@ -4,6 +4,22 @@ checks, and the closed-form qubit Pauli oracle.
 
 Sampled checks are one-sided: they can certify a violation (the witness is
 replayable) but never certify a pass.
+
+All four sampled checks minimise one kind of objective, b^dag F(a) b over unit
+vectors a and b, where F(a) is Hermitian and, for fixed b, the value is a
+Hermitian quadratic form a^dag G(b) a.  `_alternating_min` solves it by
+alternating exact lowest-eigenvector solves, so the value never increases:
+
+- (conditional) k-positivity: a = phi, b = psi in C^(k d),
+  F(phi) = (id_k (x) L)(|phi><phi|) and G(psi) = devec(ext^dag vec|psi><psi|),
+  O(n^4) each.  The conditional test keeps psi _|_ phi by solving each
+  half-step in an orthonormal basis of the other vector's complement.
+- Schwarz and dissipativity (Heisenberg matrix M): a = vec(X), b = v in C^d,
+  F(X) is the defect matrix, and v^dag D(X) v = x^dag G(v) x with
+  G(v) = conj(R) (x) I - B^dag C - C^dag B, R = Phi^*(|v><v|),
+  B = (v^T (x) I) M and C = (v^T (x) I) K.  K = M / 2 gives the Schwarz defect
+  Phi(X^dag X) - Phi(X)^dag Phi(X); K = I gives the dissipation defect
+  L(X^dag X) - L(X)^dag X - X^dag L(X) of a Hermiticity-preserving L.
 """
 from __future__ import annotations
 
@@ -44,7 +60,6 @@ class PositivityVerdict:
 class SamplerConfig:
     n_restarts: int = 64
     refine_steps: int = 200
-    step_size: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
@@ -100,93 +115,87 @@ def extended_superoperator(s: Superoperator, k: int) -> np.ndarray:
     return out
 
 
-def _biquadratic_min(
-    ext: np.ndarray,
-    n: int,
-    cfg: SamplerConfig,
-    orthogonal: bool,
-    scale: float,
-    tol: ToleranceConfig,
-):
-    """Minimize q(phi, psi) = <psi| M(phi) |psi> over unit vectors.
+def _vec(m: np.ndarray) -> np.ndarray:
+    # column stacking without the finiteness check of `vectorize`: the inner
+    # loops below only see matrices built from already validated ones
+    return m.reshape(-1, order="F")
 
-    M(phi) = (id_k (x) L)(|phi><phi|).  With `orthogonal` the constraint
-    psi _|_ phi of the conditional test is enforced.  Alternating exact
-    eigen-minimization: each half-step solves a Hermitian eigenproblem, so the
-    objective decreases monotonically.
+
+def _lowest(h: np.ndarray, against=None):
+    """Lowest eigenpair of Hermitian h; with `against`, over unit vectors
+    orthogonal to it, solved in an orthonormal basis of its complement."""
+    if against is None:
+        vals, vecs = np.linalg.eigh(h)
+        return float(vals[0]), vecs[:, 0]
+    # columns 1.. of the unitary Q of [against | I] span against's complement
+    q = np.linalg.qr(np.column_stack([against, np.eye(against.size)]))[0][:, 1:]
+    vals, vecs = np.linalg.eigh(q.conj().T @ h @ q)
+    return float(vals[0]), q @ vecs[:, 0]
+
+
+def _alternating_min(f_of_a, g_of_b, starts, cfg: SamplerConfig, scale: float,
+                     orthogonal: bool = False):
+    """Minimise b^dag F(a) b over unit vectors a, b (see the module docstring).
+
+    From each start a, alternate b <- lowest eigenvector of F(a) and
+    a <- lowest eigenvector of G(b) until the value drops by less than
+    1e-14 * scale or cfg.refine_steps rounds have run.  With `orthogonal`
+    each half-step is restricted to the complement of the other vector.
+    Returns (value, a, b) of the lowest restart, the earliest on ties.
     """
+    def solve(h, fixed):
+        return _lowest(h, fixed if orthogonal else None)
+
+    best = None
+    for a in starts:
+        a = a / np.linalg.norm(a)
+        val, b = solve(f_of_a(a), a)
+        for _ in range(cfg.refine_steps):
+            _, a = solve(g_of_b(b), b)
+            cur, b = solve(f_of_a(a), a)
+            converged = val - cur < 1e-14 * scale
+            val = cur
+            if converged:
+                break
+        if best is None or val < best[0]:
+            best = (val, a, b)
+    return best
+
+
+def _sampled_verdict(margin: float, witness, cfg: SamplerConfig, scale: float,
+                     tol: ToleranceConfig) -> PositivityVerdict:
+    status = VIOLATION_FOUND if margin < -tol.psd_tol * scale else NO_VIOLATION_FOUND
+    return PositivityVerdict(
+        status=status, margin=margin, witness=witness,
+        samples_used=cfg.n_restarts, seed=cfg.seed,
+    )
+
+
+def _k_positivity_verdict(s: Superoperator, k: int, cfg: SamplerConfig,
+                          tol: ToleranceConfig, orthogonal: bool) -> PositivityVerdict:
+    """Sampled minimum of <psi|(id_k (x) Phi)(|phi><phi|)|psi> over unit
+    vectors, with psi _|_ phi when `orthogonal`; witness (phi, psi)."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    n = k * s.d
+    scale = max(1.0, s.norm())
+    ext = extended_superoperator(s, k)
+    ext_adj = ext.conj().T
 
     def m_of_phi(phi):
-        m = devectorize(ext @ vectorize(np.outer(phi, phi.conj())), n)
+        m = devectorize(ext @ _vec(np.outer(phi, phi.conj())), n)
         herm = 0.5 * (m + m.conj().T)
-        if np.linalg.norm(m - herm) > 1e-10 * max(1.0, scale):
+        if np.linalg.norm(m - herm) > 1e-10 * scale:
             raise AssertionError("extended map is not Hermiticity-preserving")
         return herm
 
     def a_of_psi(psi):
-        # quadratic form in phi: q = phi^dag A phi
-        a = np.zeros((n, n), dtype=complex)
-        for col in range(n):
-            e = np.zeros(n, dtype=complex)
-            e[col] = 1.0
-            # column col of A: A e_col, using linearity in |phi><phi| entries
-            for row in range(n):
-                x = np.zeros((n, n), dtype=complex)
-                x[col, row] = 1.0  # |col><row| term of phi phi^dag
-                y = devectorize(ext @ vectorize(x), n)
-                a[row, col] = psi.conj() @ y @ psi
+        a = devectorize(ext_adj @ _vec(np.outer(psi, psi.conj())), n)
         return 0.5 * (a + a.conj().T)
 
-    def q_value(phi, psi):
-        return float((psi.conj() @ m_of_phi(phi) @ psi).real)
-
-    best = None
-    for r in range(cfg.n_restarts):
-        rng = _restart_rng(cfg, r)
-        phi = _random_unit_vector(rng, n)
-        psi = _random_unit_vector(rng, n)
-        if orthogonal:
-            psi = psi - (phi.conj() @ psi) * phi
-            nrm = np.linalg.norm(psi)
-            if nrm < 1e-12:
-                continue
-            psi /= nrm
-        prev = np.inf
-        for _ in range(cfg.refine_steps):
-            # best psi for fixed phi
-            m = m_of_phi(phi)
-            if orthogonal:
-                p = np.eye(n, dtype=complex) - np.outer(phi, phi.conj())
-                m = p @ m @ p
-            vals, vecs = np.linalg.eigh(m)
-            psi = vecs[:, 0]
-            if orthogonal:
-                psi = psi - (phi.conj() @ psi) * phi
-                nrm = np.linalg.norm(psi)
-                if nrm < 1e-12:
-                    break
-                psi /= nrm
-            # best phi for fixed psi
-            a = a_of_psi(psi)
-            if orthogonal:
-                p = np.eye(n, dtype=complex) - np.outer(psi, psi.conj())
-                a = p @ a @ p
-            vals, vecs = np.linalg.eigh(a)
-            phi = vecs[:, 0]
-            if orthogonal:
-                phi = phi - (psi.conj() @ phi) * psi
-                nrm = np.linalg.norm(phi)
-                if nrm < 1e-12:
-                    break
-                phi /= nrm
-            cur = q_value(phi, psi)
-            if prev - cur < 1e-14 * max(1.0, scale):
-                break
-            prev = cur
-        cur = q_value(phi, psi)
-        if best is None or cur < best[0]:
-            best = (cur, phi.copy(), psi.copy(), r)
-    return best
+    starts = (_random_unit_vector(_restart_rng(cfg, r), n) for r in range(cfg.n_restarts))
+    q, phi, psi = _alternating_min(m_of_phi, a_of_psi, starts, cfg, scale, orthogonal)
+    return _sampled_verdict(q, (phi, psi), cfg, scale, tol)
 
 
 def check_conditional_k_positivity(
@@ -196,28 +205,7 @@ def check_conditional_k_positivity(
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> PositivityVerdict:
     """Sampled refutation of <psi|(id_k (x) L)(|phi><phi|)|psi> >= 0, psi _|_ phi."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    n = k * s.d
-    scale = max(1.0, s.norm())
-    ext = extended_superoperator(s, k)
-    best = _biquadratic_min(ext, n, cfg, orthogonal=True, scale=scale, tol=tol)
-    q, phi, psi, _ = best
-    if q < -tol.psd_tol * scale:
-        return PositivityVerdict(
-            status=VIOLATION_FOUND,
-            margin=q,
-            witness=(phi, psi),
-            samples_used=cfg.n_restarts,
-            seed=cfg.seed,
-        )
-    return PositivityVerdict(
-        status=NO_VIOLATION_FOUND,
-        margin=q,
-        witness=(phi, psi),
-        samples_used=cfg.n_restarts,
-        seed=cfg.seed,
-    )
+    return _k_positivity_verdict(s, k, cfg, tol, orthogonal=True)
 
 
 def replay_conditional_k_positivity(s: Superoperator, k: int, witness) -> float:
@@ -243,24 +231,6 @@ def dissipativity_defect(s_heis: Superoperator, x) -> np.ndarray:
     return herm
 
 
-def _hill_climb_min(objective, x0, cfg: SamplerConfig, rng) -> tuple:
-    """Minimize objective over unit-Frobenius matrices by random refinement."""
-    x = x0 / np.linalg.norm(x0)
-    val = objective(x)
-    step = cfg.step_size
-    for _ in range(cfg.refine_steps):
-        g = rng.normal(size=x.shape) + 1j * rng.normal(size=x.shape)
-        cand = x + step * g
-        cand /= np.linalg.norm(cand)
-        v = objective(cand)
-        if v < val:
-            x, val = cand, v
-            step = min(step * 1.5, 0.5)
-        else:
-            step = max(step * 0.8, 1e-4)
-    return val, x
-
-
 def _matrix_unit_starts(d: int) -> list[np.ndarray]:
     """Deterministic structured starting points: all matrix units |i><j|.
 
@@ -275,17 +245,42 @@ def _matrix_unit_starts(d: int) -> list[np.ndarray]:
     return starts
 
 
-def _multistart_min(objective, d: int, cfg: SamplerConfig):
-    """Hill climbs from matrix-unit starts plus random restarts; lowest index wins."""
-    best = None
-    starts = _matrix_unit_starts(d)
-    for r in range(cfg.n_restarts + len(starts)):
-        rng = _restart_rng(cfg, r)
-        x0 = starts[r] if r < len(starts) else _random_matrix(rng, d)
-        val, x = _hill_climb_min(objective, x0, cfg, rng)
-        if best is None or val < best[0]:
-            best = (val, x, r)
-    return best
+def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerConfig,
+                    tol: ToleranceConfig) -> PositivityVerdict:
+    """Sampled minimum of the least eigenvalue of
+    D(X) = Phi(X^dag X) - Phi(X)^dag K(X) - K(X)^dag Phi(X) over unit-Frobenius X,
+    with Phi = m and K = cross (both d^2 x d^2); `defect(m, X)` is the public
+    defect function that the reported margin is replayed with."""
+    d, mat = m.d, m.matrix
+    scale = max(1.0, m.norm())
+    eye = np.eye(d, dtype=complex)
+    # row j d + i of a d^2-row matrix sits at [j, i]: (Y v)_i = sum_j v_j vec(Y)[j d + i]
+    mat_rows = mat.reshape(d, d, d * d)
+    cross_rows = cross.reshape(d, d, d * d)
+    mat_adj = mat.conj().T
+
+    def defect_of_x(x):
+        xm = devectorize(x, d)
+        y = devectorize(mat @ x, d)
+        z = devectorize(cross @ x, d)
+        out = devectorize(mat @ _vec(xm.conj().T @ xm), d) - y.conj().T @ z - z.conj().T @ y
+        return 0.5 * (out + out.conj().T)
+
+    def form_of_v(v):
+        r = devectorize(mat_adj @ _vec(np.outer(v, v.conj())), d)
+        b = np.tensordot(v, mat_rows, axes=1)
+        c = np.tensordot(v, cross_rows, axes=1)
+        g = np.kron(r.conj(), eye) - b.conj().T @ c - c.conj().T @ b
+        return 0.5 * (g + g.conj().T)
+
+    units = _matrix_unit_starts(d)
+    randoms = [_random_matrix(_restart_rng(cfg, r), d)
+               for r in range(len(units), len(units) + cfg.n_restarts)]
+    starts = [_vec(x) for x in units + randoms]
+    _, x, _ = _alternating_min(defect_of_x, form_of_v, starts, cfg, scale)
+    witness = devectorize(x, d)
+    margin = float(np.linalg.eigvalsh(defect(m, witness))[0])
+    return _sampled_verdict(margin, witness, cfg, scale, tol)
 
 
 def check_dissipativity(
@@ -299,16 +294,8 @@ def check_dissipativity(
     eye = np.eye(s_heis.d, dtype=complex)
     if np.linalg.norm(s_heis.apply(eye)) > 1e-8 * max(1.0, s_heis.norm()):
         raise ValueError("generator is not unital")
-    scale = max(1.0, s_heis.norm())
-
-    def objective(x):
-        return float(np.linalg.eigvalsh(dissipativity_defect(s_heis, x))[0])
-
-    val, x, _ = _multistart_min(objective, s_heis.d, cfg)
-    status = VIOLATION_FOUND if val < -tol.psd_tol * scale else NO_VIOLATION_FOUND
-    return PositivityVerdict(
-        status=status, margin=val, witness=x, samples_used=cfg.n_restarts, seed=cfg.seed
-    )
+    identity = np.eye(s_heis.d**2, dtype=complex)
+    return _defect_verdict(s_heis, identity, dissipativity_defect, cfg, tol)
 
 
 CLASS_CP = "CP"
@@ -320,20 +307,21 @@ CLASS_NOT_POSITIVE = "Not_positive"
 def qubit_pauli_classify(g1: float, g2: float, g3: float) -> str:
     """Closed-form class of the qubit Pauli generator with rates (g1, g2, g3).
 
-    CP iff all rates nonnegative; Schwarz (dissipative) iff the second
-    elementary symmetric polynomial g1*g2 + g2*g3 + g3*g1 is nonnegative;
-    positive iff all pairwise sums are nonnegative.  With a single negative
-    rate the Schwarz condition reads g3 >= -g1*g2/(g1+g2), i.e. the negative
-    rate may not exceed half the harmonic mean of the other two in magnitude.
+    CP iff all rates nonnegative; positive iff all pairwise sums are
+    nonnegative; Schwarz (dissipative) iff positive and the second elementary
+    symmetric polynomial g1*g2 + g2*g3 + g3*g1 is nonnegative.  With a single
+    negative rate the Schwarz condition reads g3 >= -g1*g2/(g1+g2), i.e. the
+    negative rate may not exceed half the harmonic mean of the other two in
+    magnitude.  Two or more negative rates make a pairwise sum negative.
     """
     g = sorted((g1, g2, g3))
     if g[0] >= 0:
         return CLASS_CP
+    if g[0] + g[1] < 0:
+        return CLASS_NOT_POSITIVE
     if g1 * g2 + g2 * g3 + g3 * g1 >= 0:
         return CLASS_SCHWARZ_NOT_CP
-    if g[0] + g[1] >= 0:
-        return CLASS_POSITIVE_NOT_SCHWARZ
-    return CLASS_NOT_POSITIVE
+    return CLASS_POSITIVE_NOT_SCHWARZ
 
 
 def schwarz_defect(m: Superoperator, x) -> np.ndarray:
@@ -356,35 +344,12 @@ def check_map_class(
         status = CERTIFIED_PASS if is_psd else CERTIFIED_FAIL
         return PositivityVerdict(status=status, margin=min_eig, witness=witness)
     if map_class == "k_positive":
-        n = k * m.d
-        scale = max(1.0, m.norm())
-        ext = extended_superoperator(m, k)
-        q, phi, psi, _ = _biquadratic_min(
-            ext, n, cfg, orthogonal=False, scale=scale, tol=tol
-        )
-        status = VIOLATION_FOUND if q < -tol.psd_tol * scale else NO_VIOLATION_FOUND
-        return PositivityVerdict(
-            status=status,
-            margin=q,
-            witness=(phi, psi),
-            samples_used=cfg.n_restarts,
-            seed=cfg.seed,
-        )
+        return _k_positivity_verdict(m, k, cfg, tol, orthogonal=False)
     if map_class == "Schwarz":
         eye = np.eye(m.d, dtype=complex)
         if np.linalg.norm(m.apply(eye) - eye) > 1e-8 * max(1.0, m.norm()):
             raise ValueError("Schwarz check requires a unital map")
-        scale = max(1.0, m.norm())
-
-        def objective(x):
-            return float(np.linalg.eigvalsh(schwarz_defect(m, x))[0])
-
-        val, x, _ = _multistart_min(objective, m.d, cfg)
-        status = VIOLATION_FOUND if val < -tol.psd_tol * scale else NO_VIOLATION_FOUND
-        return PositivityVerdict(
-            status=status, margin=val, witness=x,
-            samples_used=cfg.n_restarts, seed=cfg.seed,
-        )
+        return _defect_verdict(m, 0.5 * m.matrix, schwarz_defect, cfg, tol)
     raise ValueError(f"unknown map class {map_class!r}")
 
 

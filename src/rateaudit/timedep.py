@@ -3,14 +3,13 @@ product), time-local rates, divisibility audits, trace-norm monotonicity, and
 the built-in tanh-modulated qubit example."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, devectorize, vectorize
+from .matcore import DEFAULT_TOL, ToleranceConfig
 from .generator import (
-    HEISENBERG,
     SCHROEDINGER,
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -22,12 +21,7 @@ from .generator import (
     build_superoperator,
     relaxation_rates,
 )
-from .positivity import (
-    NO_VIOLATION_FOUND,
-    PositivityVerdict,
-    SamplerConfig,
-    check_map_class,
-)
+from .positivity import PositivityVerdict, SamplerConfig, check_map_class
 from .bounds import AuditReport, audit_rates
 
 
@@ -186,11 +180,8 @@ def divisibility_audit(
     results = []
     first_violation = None
     for i, p in enumerate(grid.propagators):
-        icfg = SamplerConfig(
-            n_restarts=cfg.n_restarts,
-            refine_steps=cfg.refine_steps,
-            step_size=cfg.step_size,
-            seed=int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0]),
+        icfg = replace(
+            cfg, seed=int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
         )
         verdict = _interval_verdict(p, div_class, icfg, tol)
         interval = (grid.times[i], grid.times[i + 1])

@@ -148,6 +148,22 @@ def test_divisibility(capsys, fixtures):
     assert code == EXIT_USAGE
 
 
+def test_sampler_flags_validated(capsys, fixtures):
+    # bad counts are usage errors (exit 3, one line), never a violation (exit 1)
+    pauli = str(fixtures / "pauli_111-1.json")
+    tanh = str(fixtures / "tanh_025.json")
+    for argv in (
+        ["check", pauli, "--k", "0"],
+        ["check", pauli, "--k", "2", "--samples", "0"],
+        ["check", pauli, "--dissipative", "--samples", "-3"],
+        ["divisibility", tanh, "--class", "schwarz", "--t1", "1.0", "--samples", "0"],
+        ["divisibility", tanh, "--class", "cp", "--t1", "1.0", "--grid", "0"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.count("\n") == 1 and "positive integer" in err
+
+
 def test_sample(capsys):
     code, out, _ = run(
         capsys, "sample", "--d", "2", "--count", "25", "--seed", "3",

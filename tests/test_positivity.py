@@ -25,6 +25,7 @@ from rateaudit.positivity import (
     dissipativity_defect,
     qubit_pauli_classify,
     replay_conditional_k_positivity,
+    schwarz_defect,
     variance_contractivity_check,
 )
 
@@ -67,6 +68,20 @@ def test_conditional_k_positivity_ccp_clean():
     )
     assert verdict.status == NO_VIOLATION_FOUND
     assert verdict.margin >= -1e-9
+
+
+def test_conditional_k_positivity_ccp_unit_witness():
+    # a passing generator still reports a unit psi _|_ phi and its margin
+    for seed, d in ((1, 2), (2, 3)):
+        sup = build_superoperator(ccp_spec(seed, d))
+        verdict = check_conditional_k_positivity(sup, d, FAST)
+        assert verdict.status == NO_VIOLATION_FOUND
+        phi, psi = verdict.witness
+        assert np.linalg.norm(phi) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(psi) == pytest.approx(1.0, abs=1e-12)
+        assert abs(phi.conj() @ psi) < 1e-12
+        replayed = replay_conditional_k_positivity(sup, d, verdict.witness)
+        assert replayed == pytest.approx(verdict.margin, abs=1e-9)
 
 
 def test_conditional_2_positivity_refutes_pauli():
@@ -120,6 +135,9 @@ def test_qubit_pauli_classify():
     assert qubit_pauli_classify(2, 2, -1) == "Schwarz_not_CP"
     assert qubit_pauli_classify(1, 1, -1) == "Positive_not_Schwarz"
     assert qubit_pauli_classify(1, -1, -1) == "Not_positive"
+    # two or three negative rates: a pairwise sum is negative, e2 may not be
+    assert qubit_pauli_classify(-1, -1, -1) == "Not_positive"
+    assert qubit_pauli_classify(0.214, -0.404, -0.728) == "Not_positive"
     # order-insensitive
     assert qubit_pauli_classify(-1, 2, 2) == "Schwarz_not_CP"
 
@@ -143,6 +161,18 @@ def test_samplers_agree_with_pauli_oracle():
     assert agree >= total - 1
 
 
+def test_dissipativity_sweep_agrees_with_pauli_oracle():
+    """Seeded rate triples from [-1, 2]^3, two-negative ones included."""
+    rng = np.random.default_rng(7)
+    triples = rng.uniform(-1.0, 2.0, size=(40, 3))
+    assert sum(int(np.sum(g < 0) >= 2) for g in triples) >= 5
+    for i, g in enumerate(triples):
+        label = qubit_pauli_classify(*g)
+        heis = adjoint_superoperator(build_superoperator(pauli_spec(*g)))
+        verdict = check_dissipativity(heis, SamplerConfig(n_restarts=8, seed=i))
+        assert verdict.violated == (label in ("Positive_not_Schwarz", "Not_positive")), g
+
+
 def test_map_class_identity_and_transposition():
     ident = Superoperator(d=2, matrix=np.eye(4, dtype=complex))
     assert check_map_class(ident, "CP").status == CERTIFIED_PASS
@@ -154,6 +184,8 @@ def test_map_class_identity_and_transposition():
     )
     verdict = check_map_class(transpose, "Schwarz", cfg=FAST)
     assert verdict.status == VIOLATION_FOUND
+    replayed = np.linalg.eigvalsh(schwarz_defect(transpose, verdict.witness))[0]
+    assert replayed == pytest.approx(verdict.margin, abs=1e-10)
     # the canonical witness X = |0><1| gives defect min eig -1
     x = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     defect = transpose.apply(x.conj().T @ x) - transpose.apply(x).conj().T @ transpose.apply(x)
