@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix
+from .matcore import as_matrix, vectorize
 from .generator import HEISENBERG, SCHROEDINGER, Superoperator, adjoint_superoperator
 
 
@@ -41,12 +41,9 @@ def classical_generator(s: Superoperator, basis) -> ClassicalGenerator:
     if s.picture != SCHROEDINGER:
         raise ValueError("classical_generator expects the Schroedinger picture")
     vecs = _normalize_basis(basis, s.d)
-    projs = [_projector(v) for v in vecs]
-    images = [s.apply(p) for p in projs]
-    k = np.empty((s.d, s.d), dtype=complex)
-    for i in range(s.d):
-        for j in range(s.d):
-            k[i, j] = np.trace(projs[i] @ images[j])
+    # Tr(P_i Y) = vec(P_i)^dag vec(Y) for Hermitian P_i, so K = V^dag M V
+    v = np.column_stack([vectorize(_projector(u)) for u in vecs])
+    k = v.conj().T @ s.matrix @ v
     if np.max(np.abs(k.imag)) > 1e-10 * max(1.0, s.norm()):
         raise AssertionError("classical projection has a large imaginary part")
     return ClassicalGenerator(d=s.d, matrix=k.real.copy(), basis=tuple(vecs))

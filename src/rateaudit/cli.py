@@ -33,7 +33,7 @@ from .positivity import (
     check_dissipativity,
 )
 from .kms import WeightedInnerProduct, bendixson_interval, kms_adjoint, symmetrized_generator
-from .bounds import audit_rates, audit_steady_states
+from .bounds import CLASSES, audit_rates, audit_steady_states
 from .timedep import TimeDependentSpec, builtin_tanh_example, divisibility_audit, piecewise_spec
 
 EXIT_PASS = 0
@@ -128,16 +128,16 @@ def _parse_static(doc) -> GeneratorSpec:
     jumps = []
     for j in doc.get("jumps", []):
         jumps.append((_parse_matrix(j["matrix"], d), float(j["rate"])))
-    try:
-        return GeneratorSpec(hamiltonian=h, jumps=tuple(jumps))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return GeneratorSpec(hamiltonian=h, jumps=tuple(jumps))
 
 
 def _parse_time_dependent(doc) -> TimeDependentSpec:
     kind = doc.get("type")
     if kind == "tanh_example":
-        return builtin_tanh_example(float(doc["mu"]))
+        mu = float(doc["mu"])
+        if not np.isfinite(mu):
+            raise UsageError("tanh_example requires a finite mu")
+        return builtin_tanh_example(mu)
     if kind == "piecewise":
         specs = [_parse_static(sub) for sub in doc["specs"]]
         return piecewise_spec(doc["times"], specs)
@@ -145,7 +145,11 @@ def _parse_time_dependent(doc) -> TimeDependentSpec:
 
 
 def load_spec_file(path: str):
-    """Returns (kind, spec, sha256 hex digest of the file bytes)."""
+    """Returns (kind, spec, sha256 hex digest of the file bytes).
+
+    Every malformed document (wrong JSON shape, missing key, wrong value type,
+    a spec the generator constructors reject) is a UsageError.
+    """
     try:
         raw = open(path, "rb").read()
     except OSError as exc:
@@ -155,12 +159,16 @@ def load_spec_file(path: str):
         doc = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"invalid JSON in {path}: {exc}") from exc
-    kind = doc.get("kind")
-    if kind == "static":
-        return kind, _parse_static(doc), digest
-    if kind == "time_dependent":
-        return kind, _parse_time_dependent(doc), digest
-    raise UsageError(f"spec file must declare kind static|time_dependent, got {kind!r}")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in ("static", "time_dependent"):
+        raise UsageError(f"spec file must declare kind static|time_dependent, got {kind!r}")
+    try:
+        spec = _parse_static(doc) if kind == "static" else _parse_time_dependent(doc)
+    except KeyError as exc:
+        raise UsageError(f"spec file {path} lacks the key {exc}") from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"malformed spec file {path}: {exc}") from exc
+    return kind, spec, digest
 
 
 def _require_static(path: str) -> tuple[GeneratorSpec, str]:
@@ -229,9 +237,6 @@ def _tolerances(args) -> ToleranceConfig:
     return ToleranceConfig()
 
 
-_CLASS_ALIASES = {"cp": "cp", "2p": "2p", "schwarz": "schwarz", "positive": "positive"}
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -263,7 +268,7 @@ def cmd_audit(args) -> int:
     tol = _tolerances(args)
     sup = build_superoperator(spec)
     rr = relaxation_rates(sup, tol)
-    audit = audit_rates(rr, _CLASS_ALIASES[args.audit_class], spec.d)
+    audit = audit_rates(rr, args.audit_class, spec.d)
     report_doc = _base_report("audit", digest, None)
     report_doc["rates"] = [float(g) for g in rr.rates]
     report_doc["margins"] = [audit.margin]
@@ -319,6 +324,10 @@ def cmd_divisibility(args) -> int:
         raise UsageError("divisibility requires a time_dependent spec")
     if args.t1 <= args.t0:
         raise UsageError("--t1 must be greater than --t0")
+    if args.t0 < spec.t_start or args.t1 > spec.t_end:
+        raise UsageError(
+            f"--t0 and --t1 must lie in the spec's domain [{spec.t_start}, {spec.t_end}]"
+        )
     tol = _tolerances(args)
     times = np.linspace(args.t0, args.t1, args.grid + 1)
     cfg = SamplerConfig(n_restarts=args.samples, seed=args.seed)
@@ -363,13 +372,12 @@ def cmd_sample(args) -> int:
     if args.d < 2 or args.count < 1:
         raise UsageError("--d must be >= 2 and --count >= 1")
     tol = _tolerances(args)
-    audit_class = _CLASS_ALIASES[args.class_check]
 
     def one(index: int):
         rng = np.random.default_rng(np.random.SeedSequence([args.seed, index]))
         spec = random_ccp_spec(rng, args.d)
         rr = relaxation_rates(build_superoperator(spec), tol)
-        audit = audit_rates(rr, audit_class, args.d)
+        audit = audit_rates(rr, args.class_check, args.d)
         return audit.satisfied, audit.margin
 
     results = [one(i) for i in range(args.count)]
@@ -380,7 +388,7 @@ def cmd_sample(args) -> int:
     report_doc["details"] = {
         "d": args.d,
         "count": args.count,
-        "class": audit_class,
+        "class": args.class_check,
         "passed": n_pass,
         "failed": args.count - n_pass,
         "worst_margin": worst,
@@ -395,7 +403,7 @@ def cmd_steady(args) -> int:
     tol = _tolerances(args)
     sup = build_superoperator(spec)
     try:
-        m0, bound, within = audit_steady_states(sup, _CLASS_ALIASES[args.audit_class], tol)
+        m0, bound, within = audit_steady_states(sup, args.audit_class, tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     report_doc = _base_report("steady", digest, None)
@@ -463,8 +471,26 @@ def _positive_int(raw: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
 
 
+def _checked_float(ok, expected: str):
+    """argparse type: a float for which ok(value) holds, else a usage error."""
+    def parse(raw: str) -> float:
+        try:
+            value = float(raw)
+        except ValueError:
+            value = float("nan")  # fails every check below
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+        return value
+    return parse
+
+
+_tolerance = _checked_float(lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_finite = _checked_float(np.isfinite, "a finite number")
+_nonnegative = _checked_float(lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+
+
 def _add_common(p):
-    p.add_argument("--tol", type=float, default=None, help="override psd tolerance")
+    p.add_argument("--tol", type=_tolerance, default=None, help="override psd tolerance")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to a file")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms")
@@ -482,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="rate-constraint audit for a class")
     p.add_argument("spec")
     p.add_argument("--class", dest="audit_class", required=True,
-                   choices=tuple(_CLASS_ALIASES))
+                   choices=CLASSES)
     _add_common(p)
     p.set_defaults(func=cmd_audit)
 
@@ -502,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec")
     p.add_argument("--class", dest="audit_class", required=True,
                    choices=tuple(_DIV_CLASSES))
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, required=True)
+    p.add_argument("--t0", type=_finite, default=0.0)
+    p.add_argument("--t1", type=_finite, required=True)
     p.add_argument("--grid", type=_positive_int, default=30)
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--samples", type=_positive_int, default=64)
@@ -516,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--class-check", dest="class_check", required=True,
-                   choices=tuple(_CLASS_ALIASES))
+                   choices=CLASSES)
     _add_common(p)
     p.set_defaults(func=cmd_sample)
 
@@ -529,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kms", help="weighted-adjoint diagnostics")
     p.add_argument("spec")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_nonnegative, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_kms)

@@ -130,36 +130,30 @@ def adjoint_superoperator(s: Superoperator) -> Superoperator:
 
 
 def maximally_entangled_projector(d: int) -> np.ndarray:
-    """P+ = |psi+><psi+| with |psi+> normalized (trace 1)."""
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        psi[i * d + i] = 1.0
-    psi /= np.sqrt(d)
+    """P+ = |psi+><psi+| with |psi+> = vec(I) / sqrt(d) (trace 1)."""
+    psi = vectorize(np.eye(d)) / np.sqrt(d)
     return np.outer(psi, psi.conj())
+
+
+def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
+    """Swap axes 0 and 3 of m seen as a (d, d, d, d) tensor; an involution.
+
+    With column stacking, M[q d + p, j d + i] = Phi(|i><j|)[p, q] and
+    C[i d + p, j d + q] = Phi(|i><j|)[p, q] / d, so the Choi matrix and the
+    superoperator matrix are this reshuffle of each other (up to the 1/d).
+    """
+    return m.reshape(d, d, d, d).swapaxes(0, 3).reshape(d * d, d * d)
 
 
 def choi(s: Superoperator) -> ChoiMatrix:
     """C = (id (x) Phi)(P+), P+ normalized to trace 1."""
-    d = s.d
-    c = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            block = s.apply(e)
-            c[i * d : (i + 1) * d, j * d : (j + 1) * d] = block / d
-    return ChoiMatrix(d=d, matrix=c)
+    return ChoiMatrix(d=s.d, matrix=_reshuffle(s.matrix, s.d) / s.d)
 
 
 def superoperator_from_choi(c: ChoiMatrix, picture: str = SCHROEDINGER) -> Superoperator:
-    """Inverse of the Choi reshuffle (exact round trip with choi)."""
-    d = c.d
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            block = d * c.matrix[i * d : (i + 1) * d, j * d : (j + 1) * d]
-            m[:, j * d + i] = vectorize(block)
-    return Superoperator(d=d, matrix=m, picture=picture)
+    """Inverse of the Choi reshuffle (round trip with choi up to the rounding
+    of the 1/d scale)."""
+    return Superoperator(d=c.d, matrix=_reshuffle(c.d * c.matrix, c.d), picture=picture)
 
 
 def relaxation_rates(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> RateReport:
@@ -339,10 +333,5 @@ def integral_stationary(
 
 def check_choi_trace_identity(s: Superoperator, tol: float = 1e-9) -> float:
     """|d^2 <psi+|C|psi+> - Tr S| for the Choi matrix of s."""
-    c = choi(s)
-    d = s.d
-    psi = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        psi[i * d + i] = 1.0 / np.sqrt(d)
-    lhs = d * d * (psi.conj() @ c.matrix @ psi)
+    lhs = s.d**2 * np.trace(maximally_entangled_projector(s.d) @ choi(s).matrix)
     return abs(lhs - np.trace(s.matrix))

@@ -107,20 +107,11 @@ def check_s_selfadjoint(
     """Detailed-balance test: self-adjointness w.r.t. the s-inner product.
 
     Residual is the max over matrix-unit pairs (E_ab, E_cd) of
-    |<D(E_ab), E_cd>_s - <E_ab, D(E_cd)>_s|.
+    |<D(E_ab), E_cd>_s - <E_ab, D(E_cd)>_s|.  With the Gram matrix
+    W = w^{1-s}^T (x) w^s, <A, B>_s = vec(A)^dag W vec(B), so these are the
+    entries of M^dag W - W M.
     """
-    d = d_heis.d
-    units = []
-    for a in range(d):
-        for b in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[a, b] = 1.0
-            units.append(e)
-    images = [d_heis.apply(e) for e in units]
-    resid = 0.0
-    for i, ei in enumerate(units):
-        for j, ej in enumerate(units):
-            lhs = s_inner(images[i], ej, w)
-            rhs = s_inner(ei, images[j], w)
-            resid = max(resid, abs(lhs - rhs))
+    m = d_heis.matrix
+    gram = np.kron(w.w_1ms.T, w.w_s)
+    resid = float(np.max(np.abs(m.conj().T @ gram - gram @ m)))
     return resid < tol, resid

@@ -99,20 +99,16 @@ def check_ccp(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Positivit
 
 
 def extended_superoperator(s: Superoperator, k: int) -> np.ndarray:
-    """Matrix of id_k (x) Phi on column-stacked (k d) x (k d) operators."""
+    """Matrix of id_k (x) Phi on column-stacked (k d) x (k d) operators.
+
+    An operator index I d + a (block I, entry a) makes the matrix a
+    (k, d, k, d, k, d, k, d) tensor [J, b, I, a, L, e, K, c] equal to
+    delta_JL delta_IK M[b d + a, e d + c]: one copy of M per block pair.
+    """
     d, n = s.d, k * s.d
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for a in range(n):
-        for b in range(n):
-            x = np.zeros((n, n), dtype=complex)
-            x[a, b] = 1.0
-            y = np.zeros((n, n), dtype=complex)
-            for i in range(k):
-                for j in range(k):
-                    block = x[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                    y[i * d : (i + 1) * d, j * d : (j + 1) * d] = s.apply(block)
-            out[:, b * n + a] = vectorize(y)
-    return out
+    eye = np.eye(k)
+    m4 = s.matrix.reshape(d, d, d, d)
+    return np.einsum("JL,IK,baec->JbIaLeKc", eye, eye, m4).reshape(n * n, n * n)
 
 
 def _vec(m: np.ndarray) -> np.ndarray:

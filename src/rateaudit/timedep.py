@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg
 
-from .matcore import DEFAULT_TOL, ToleranceConfig
+from .matcore import DEFAULT_TOL, ToleranceConfig, devectorize, vectorize
 from .generator import (
     SCHROEDINGER,
     SIGMA_MINUS,
@@ -21,7 +21,12 @@ from .generator import (
     build_superoperator,
     relaxation_rates,
 )
-from .positivity import PositivityVerdict, SamplerConfig, check_map_class
+from .positivity import (
+    PositivityVerdict,
+    SamplerConfig,
+    check_map_class,
+    extended_superoperator,
+)
 from .bounds import AuditReport, audit_rates
 
 
@@ -242,32 +247,25 @@ def trace_norm_monotonicity_check(
     d = spec.d
     n = k * d
 
-    def extended_apply(sup: Superoperator, x: np.ndarray) -> np.ndarray:
-        y = np.empty_like(x)
-        for i in range(k):
-            for j in range(k):
-                y[i * d : (i + 1) * d, j * d : (j + 1) * d] = sup.apply(
-                    x[i * d : (i + 1) * d, j * d : (j + 1) * d]
-                )
-        return y
+    def trace_norms(xs):
+        xs = np.stack(xs)
+        herm = 0.5 * (xs + xs.conj().swapaxes(1, 2))
+        return np.sum(np.abs(np.linalg.eigvalsh(herm)), axis=-1)
 
-    def trace_norm(x):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T)))))
+    def extended_images(sup: Superoperator, xs) -> list:
+        """(id_k (x) sup)(X) for each n x n operator X in xs, by one product."""
+        ys = extended_superoperator(sup, k) @ np.column_stack([vectorize(x) for x in xs])
+        return [devectorize(y, n) for y in ys.T]
 
     # Maximally entangled projector across the k:d split (rank one, trace one).
-    m = min(k, d)
-    psi = np.zeros(n, dtype=complex)
-    for i in range(m):
-        psi[i * d + i] = 1.0 / np.sqrt(m)
-    p_ent = np.outer(psi, psi.conj())
+    psi = np.eye(k, d).reshape(-1) / np.sqrt(min(k, d))
+    p_ent = np.outer(psi, psi)
 
     probes = []
     if k > 1:
-        for cum in grid.cumulative[:-1]:
-            if len(probes) >= n_probe_operators:
-                break
+        for cum in grid.cumulative[:-1][:n_probe_operators]:
             inv = Superoperator(d=d, matrix=np.linalg.inv(cum.matrix))
-            x = extended_apply(inv, p_ent)
+            x = extended_images(inv, [p_ent])[0]
             probes.append(0.5 * (x + x.conj().T))
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E]))
@@ -277,17 +275,16 @@ def trace_norm_monotonicity_check(
         else:
             probes.append(_random_block_hermitian(rng, n))
 
+    # norms[i, p]: trace norm of probe p after the cumulative map to t_i
+    norms = np.array([trace_norms(probes)] + [
+        trace_norms(extended_images(cum, probes)) for cum in grid.cumulative[1:]
+    ])
     best = None
     found = False
-    for x in probes:
-        norm_x = trace_norm(x)
-        prev = norm_x
-        for i, cum in enumerate(grid.cumulative[1:]):
-            cur = trace_norm(extended_apply(cum, x))
-            delta = cur - prev
-            if delta > 1e-7 * norm_x:
+    for p, x in enumerate(probes):
+        for i, delta in enumerate(np.diff(norms[:, p])):
+            if delta > 1e-7 * norms[0, p]:
                 found = True
                 if best is None or delta > best[2]:
-                    best = (x, (grid.times[i], grid.times[i + 1]), delta)
-            prev = cur
+                    best = (x, (grid.times[i], grid.times[i + 1]), float(delta))
     return found, best

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rateaudit.cli import (
     EXIT_INCONCLUSIVE,
@@ -56,6 +60,16 @@ def test_load_spec_file_errors(tmp_path, fixtures):
     bad.write_text('{"kind": "static", "d": 2, "hamiltonian": [[1.0, 0.0], [0.0, 1.0]]}')
     with pytest.raises(UsageError):
         load_spec_file(str(bad))  # scalars must be [re, im] pairs
+    bad.write_text('[{"kind": "static"}]')
+    with pytest.raises(UsageError):
+        load_spec_file(str(bad))  # top level must be an object
+    bad.write_text('{"kind": "static", "d": 2, "jumps": []}')
+    with pytest.raises(UsageError, match="hamiltonian"):
+        load_spec_file(str(bad))
+    doc = dict(ZERO_SPEC, jumps=[{"matrix": ZERO_SPEC["hamiltonian"], "rate": "fast"}])
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(UsageError):
+        load_spec_file(str(bad))
     kind, spec, digest = load_spec_file(str(fixtures / "pauli_111.json"))
     assert kind == "static" and spec.d == 2 and len(digest) == 64
 
@@ -164,6 +178,21 @@ def test_sampler_flags_validated(capsys, fixtures):
         assert out == "" and err.count("\n") == 1 and "positive integer" in err
 
 
+def test_bad_flag_values_are_usage_errors(capsys, fixtures):
+    # out-of-range values are usage errors (exit 3, one line), never exit 1 or 0
+    pauli = str(fixtures / "pauli_111.json")
+    for argv in (
+        ["spectrum", pauli, "--tol", "0"],
+        ["check", pauli, "--ccp", "--tol", "nan"],
+        ["divisibility", str(fixtures / "tanh_025.json"), "--class", "cp",
+         "--t0", "-1", "--t1", "1.0"],
+        ["kms", pauli, "--epsilon", "-1"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and err.count("\n") == 1 and err.startswith("rateaudit: error:")
+
+
 def test_sample(capsys):
     code, out, _ = run(
         capsys, "sample", "--d", "2", "--count", "25", "--seed", "3",
@@ -267,3 +296,105 @@ def test_input_digest_matches_file(capsys, fixtures):
     _, out, _ = run(capsys, "spectrum", str(path))
     doc = json.loads(out)
     assert doc["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# fuzzing main: malformed documents and flag values give exit 3 and one line,
+# well-formed ones a report
+
+_HERMITIAN = (
+    [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],  # zero
+    [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],  # sigma_x
+    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],  # sigma_z
+)
+_SIGMA_PLUS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(-1e3, 1e3),
+    st.text(max_size=3), st.lists(st.integers(0, 2), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "d", "rate"]), st.integers(0, 3), max_size=2),
+)
+_JUMP = st.fixed_dictionaries({
+    "matrix": st.sampled_from(_HERMITIAN[1:] + (_SIGMA_PLUS,)),
+    "rate": st.floats(-2.0, 2.0),
+})
+_STATIC = st.fixed_dictionaries({
+    "kind": st.just("static"),
+    "d": st.just(2),
+    "hamiltonian": st.sampled_from(_HERMITIAN),
+    "jumps": st.lists(_JUMP, max_size=3),
+})
+_TIME_DEPENDENT = st.one_of(
+    st.fixed_dictionaries({
+        "kind": st.just("time_dependent"),
+        "type": st.just("tanh_example"),
+        "mu": st.floats(-1.0, 1.0),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("time_dependent"),
+        "type": st.just("piecewise"),
+        "times": st.just([0.0, 0.5]),
+        "specs": st.lists(_STATIC, min_size=2, max_size=2),
+    }),
+)
+
+
+@st.composite
+def _documents(draw, base):
+    """A well-formed document, then at most one defect: a missing key, a value
+    of the wrong type, a string rate, or a document that is not an object."""
+    doc = draw(base)
+    target = doc
+    if doc.get("jumps"):
+        target = draw(st.sampled_from([doc, doc["jumps"][0]]))
+    elif doc.get("specs"):
+        target = draw(st.sampled_from([doc, doc["specs"][0]]))
+    defect = draw(st.sampled_from(["none", "none", "missing", "junk", "rate", "list"]))
+    key = draw(st.sampled_from(sorted(target)))
+    if defect == "missing":
+        del target[key]
+    elif defect == "junk":
+        target[key] = draw(_JUNK)
+    elif defect == "rate":
+        target["rate"] = draw(st.sampled_from(["fast", "1.0", "", None, [1.0]]))
+    elif defect == "list":
+        doc = [doc]
+    return doc
+
+
+_FLAG_VALUE = st.one_of(
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["0", "nan", "inf", "-inf", "-1", "1", "0.5", "1e-12", "x", ""]),
+)
+_COMMANDS = (
+    ["spectrum"], ["audit", "--class", "cp"], ["steady", "--class", "2p"], ["check", "--ccp"],
+    ["check", "--k", "2", "--samples", "2"], ["check", "--dissipative", "--samples", "2"],
+    ["kms"], ["divisibility", "--class", "cp", "--t1", "1.0", "--grid", "2", "--steps", "5"],
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "spec.json"
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_main_fuzz_exit_contract(fuzz_path, data):
+    command, *options = data.draw(st.sampled_from(_COMMANDS))
+    base = _TIME_DEPENDENT if command == "divisibility" else _STATIC
+    fuzz_path.write_text(json.dumps(data.draw(_documents(base))))
+    argv = [command, str(fuzz_path), *options]
+    if command == "kms":
+        argv += ["--epsilon", data.draw(_FLAG_VALUE)]
+    if command == "divisibility":
+        argv += ["--t0", data.draw(_FLAG_VALUE)]
+    if data.draw(st.booleans()):
+        argv += ["--tol", data.draw(_FLAG_VALUE)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)  # never raises
+    if code == EXIT_USAGE:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1, argv
+    else:
+        assert code in (EXIT_PASS, EXIT_VIOLATION), argv
+        assert json.loads(out.getvalue())["command"] == command

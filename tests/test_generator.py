@@ -119,6 +119,23 @@ def test_choi_pauli_negative_eigenvalue():
     assert np.linalg.eigvalsh(choi(sup).matrix)[0] < -1e-6
 
 
+def test_choi_blocks_are_images_of_matrix_units():
+    # oracle: block (i, j) of C is Phi(|i><j|) / d
+    rng = np.random.default_rng(17)
+    for d in (2, 3, 4):
+        m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        sup = Superoperator(d=d, matrix=m)
+        c = choi(sup).matrix
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = 1.0
+                blk = c[i * d : (i + 1) * d, j * d : (j + 1) * d]
+                assert np.allclose(blk, sup.apply(e) / d, rtol=0, atol=1e-14)
+        back = superoperator_from_choi(choi(sup)).matrix
+        assert np.allclose(back, m, rtol=0, atol=1e-14)
+
+
 def test_choi_round_trip():
     sup = build_superoperator(ccp_spec(9, 3))
     back = superoperator_from_choi(choi(sup))

@@ -196,3 +196,30 @@ def test_check_s_selfadjoint():
     zero = Superoperator(d=2, matrix=np.zeros((4, 4)), picture="heisenberg")
     ok, _ = check_s_selfadjoint(zero, w0)
     assert ok
+
+
+def test_check_s_selfadjoint_residual_matches_pair_loop():
+    # reference: the max over matrix-unit pairs of |<D(E_ab), E_cd>_s - <E_ab, D(E_cd)>_s|
+    def pair_loop_residual(heis, w):
+        d = heis.d
+        units = []
+        for a in range(d):
+            for b in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[a, b] = 1.0
+                units.append(e)
+        images = [heis.apply(e) for e in units]
+        return max(
+            abs(s_inner(images[i], ej, w) - s_inner(ei, images[j], w))
+            for i, ei in enumerate(units)
+            for j, ej in enumerate(units)
+        )
+
+    for seed, d, s in ((2, 2, 0.5), (3, 3, 0.3), (4, 3, 1.0)):
+        sup, omega = faithful_setup(seed, d)
+        heis = adjoint_superoperator(sup)
+        w = WeightedInnerProduct(omega, s=s)
+        ok, resid = check_s_selfadjoint(heis, w)
+        ref = pair_loop_residual(heis, w)
+        assert not ok and ref > 1e-3
+        assert resid == pytest.approx(ref, rel=1e-12, abs=1e-14)

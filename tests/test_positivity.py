@@ -23,6 +23,7 @@ from rateaudit.positivity import (
     check_dissipativity,
     check_map_class,
     dissipativity_defect,
+    extended_superoperator,
     qubit_pauli_classify,
     replay_conditional_k_positivity,
     schwarz_defect,
@@ -40,6 +41,24 @@ def map_from_action(d, action, picture="schroedinger"):
             e[i, j] = 1.0
             m[:, j * d + i] = vectorize(action(e))
     return Superoperator(d=d, matrix=m, picture=picture)
+
+
+def test_extended_superoperator_matches_blockwise_apply():
+    # oracle: id_k (x) Phi acts as Phi on each d x d block of a (k d) x (k d) operator
+    rng = np.random.default_rng(41)
+    for d in (2, 3):
+        m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        sup = Superoperator(d=d, matrix=m)
+        for k in (1, 2, 3):
+            n = k * d
+            x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            expected = np.zeros((n, n), dtype=complex)
+            for i in range(k):
+                for j in range(k):
+                    blk = (slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d))
+                    expected[blk] = sup.apply(x[blk])
+            got = extended_superoperator(sup, k) @ vectorize(x)
+            assert np.allclose(got, vectorize(expected), rtol=0, atol=1e-12), (d, k)
 
 
 def test_check_ccp_certified_pass_for_ccp_specs():
