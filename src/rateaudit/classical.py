@@ -9,6 +9,7 @@ import numpy as np
 
 from .matcore import as_matrix, vectorize
 from .generator import HEISENBERG, SCHROEDINGER, Superoperator, adjoint_superoperator
+from .bounds import rate_constant
 
 
 def _normalize_basis(basis, d: int) -> list[np.ndarray]:
@@ -62,19 +63,18 @@ def check_stochastic_generator(
     return col_ok and off_ok, col_ok, off_ok
 
 
-_TRACE_FACTORS = {"ccp_or_2positive": lambda d: d, "schwarz": lambda d: (d + 1) / 2}
-
-
 def trace_inequality(s: Superoperator, basis, ineq_class: str):
-    """Tr L <= factor * Tr K with factor d (2-positive) or (d+1)/2 (Schwarz).
+    """Tr L <= Tr K / c_d for the class 'cp', '2p' or 'schwarz' of
+    `bounds.CLASSES`: the factor 1 / c_d is d for 'cp' and '2p' and (d+1)/2
+    for 'schwarz'; 'positive' has no trace inequality.
 
     Returns (lhs, rhs, satisfied, gap) with gap = rhs - lhs.
     """
-    if ineq_class not in _TRACE_FACTORS:
-        raise ValueError(f"unknown class {ineq_class!r}")
+    if ineq_class not in ("cp", "2p", "schwarz"):
+        raise ValueError(f"no trace inequality for class {ineq_class!r}")
     k = classical_generator(s, basis)
     lhs = float(np.trace(s.matrix).real)
-    rhs = float(_TRACE_FACTORS[ineq_class](s.d) * np.trace(k.matrix))
+    rhs = float(1 / rate_constant(ineq_class, s.d) * np.trace(k.matrix))
     gap = rhs - lhs
     return lhs, rhs, gap >= -1e-9 * max(1.0, abs(lhs), abs(rhs)), gap
 

@@ -2,7 +2,7 @@
 deterministic machine-readable reports.
 
 Exit codes: 0 pass, 1 violation, 2 inconclusive under --require-certified,
-3 input/usage error.
+3 input/usage error or numerical failure.
 """
 from __future__ import annotations
 
@@ -82,21 +82,6 @@ def _render(obj) -> str:
 
 def render_report(report: dict) -> str:
     return _render(report) + "\n"
-
-
-def _complexify(x):
-    """Numpy values -> JSON-safe structures ([re, im] pairs for complex)."""
-    if isinstance(x, np.ndarray):
-        return _complexify(x.tolist())
-    if isinstance(x, (list, tuple)):
-        return [_complexify(v) for v in x]
-    if isinstance(x, (complex, np.complexfloating)):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -198,10 +183,7 @@ def _base_report(command: str, digest: str, seed) -> dict:
 def _verdict_dict(v) -> dict:
     out = {"status": v.status, "margin": float(v.margin), "samples_used": v.samples_used}
     if v.witness is not None:
-        if isinstance(v.witness, tuple):
-            out["witness"] = [_complexify(w) for w in v.witness]
-        else:
-            out["witness"] = _complexify(v.witness)
+        out["witness"] = v.witness
     return out
 
 
@@ -213,8 +195,11 @@ def _emit(report: dict, args, t0: float) -> None:
     else:
         text = render_report(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -251,7 +236,7 @@ def cmd_spectrum(args) -> int:
     trace = complex(np.trace(sup.matrix))
     report_doc["rates"] = [float(g) for g in rr.rates]
     report_doc["details"] = {
-        "eigenvalues": _complexify(list(rr.eigenvalues)),
+        "eigenvalues": rr.eigenvalues,
         "rate_sum": rr.rate_sum,
         "trace_re": trace.real,
         "sum_rule_residual": abs(rr.rate_sum + trace.real),
@@ -314,9 +299,6 @@ def cmd_check(args) -> int:
     return EXIT_PASS
 
 
-_DIV_CLASSES = {"cp": "CP", "2p": "two_positive", "schwarz": "schwarz", "positive": "positive"}
-
-
 def cmd_divisibility(args) -> int:
     t0 = time.monotonic()
     kind, spec, digest = load_spec_file(args.spec)
@@ -332,7 +314,7 @@ def cmd_divisibility(args) -> int:
     times = np.linspace(args.t0, args.t1, args.grid + 1)
     cfg = SamplerConfig(n_restarts=args.samples, seed=args.seed)
     results, first_violation = divisibility_audit(
-        spec, times, _DIV_CLASSES[args.audit_class], cfg, args.steps, tol
+        spec, times, args.audit_class, cfg, args.steps, tol
     )
     report_doc = _base_report("divisibility", digest, args.seed)
     report_doc["verdicts"] = [
@@ -440,7 +422,7 @@ def cmd_kms(args) -> int:
     report_doc["details"] = {
         "epsilon": args.epsilon,
         "m0": m0,
-        "omega": _complexify(faithful),
+        "omega": faithful,
         "sharp_unital_residual": float(np.linalg.norm(sharp.apply(eye))),
         "symmetrized_spectrum_re": sorted(float(v.real) for v in sym_eigs),
         "symmetrized_max_imag": float(np.max(np.abs(sym_eigs.imag))),
@@ -462,13 +444,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive_int(raw: str) -> int:
-    try:
-        if int(raw) >= 1:
-            return int(raw)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a positive integer, got {raw!r}")
+def _int_at_least(minimum: int, expected: str):
+    """argparse type: an integer >= minimum, else a usage error."""
+    def parse(raw: str) -> int:
+        try:
+            if int(raw) >= minimum:
+                return int(raw)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {raw!r}")
+    return parse
 
 
 def _checked_float(ok, expected: str):
@@ -484,6 +469,8 @@ def _checked_float(ok, expected: str):
     return parse
 
 
+_positive_int = _int_at_least(1, "a positive integer")
+_seed = _int_at_least(0, "a non-negative integer")
 _tolerance = _checked_float(lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
 _finite = _checked_float(np.isfinite, "a finite number")
 _nonnegative = _checked_float(lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
@@ -519,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--k", type=_positive_int, default=None)
     group.add_argument("--dissipative", action="store_true")
     p.add_argument("--samples", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--require-certified", action="store_true")
     _add_common(p)
     p.set_defaults(func=cmd_check)
@@ -527,20 +514,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divisibility", help="per-interval divisibility audit")
     p.add_argument("spec")
     p.add_argument("--class", dest="audit_class", required=True,
-                   choices=tuple(_DIV_CLASSES))
+                   choices=CLASSES)
     p.add_argument("--t0", type=_finite, default=0.0)
     p.add_argument("--t1", type=_finite, required=True)
     p.add_argument("--grid", type=_positive_int, default=30)
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--samples", type=_positive_int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_divisibility)
 
     p = sub.add_parser("sample", help="randomized audit harness")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--count", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--class-check", dest="class_check", required=True,
                    choices=CLASSES)
     _add_common(p)
@@ -549,14 +536,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("steady", help="steady-state count vs class bound")
     p.add_argument("spec")
     p.add_argument("--class", dest="audit_class", required=True,
-                   choices=("cp", "2p", "schwarz"))
+                   choices=CLASSES)
     _add_common(p)
     p.set_defaults(func=cmd_steady)
 
     p = sub.add_parser("kms", help="weighted-adjoint diagnostics")
     p.add_argument("spec")
     p.add_argument("--epsilon", type=_nonnegative, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_kms)
 
@@ -567,9 +554,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # an overflow or a NaN raises FloatingPointError where it happens
+        # instead of printing a warning and running on with inf or NaN
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except UsageError as exc:
         print(f"rateaudit: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (ValueError, ArithmeticError, AssertionError, RuntimeError) as exc:
+        # a check inside the library refused a non-finite or inaccurate result
+        # (np.linalg.LinAlgError is a ValueError, FloatingPointError an
+        # ArithmeticError)
+        print(f"rateaudit: error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

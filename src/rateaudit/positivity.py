@@ -330,18 +330,23 @@ def schwarz_defect(m: Superoperator, x) -> np.ndarray:
 def check_map_class(
     m: Superoperator,
     map_class: str,
-    k: int = 2,
     cfg: SamplerConfig = SamplerConfig(),
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> PositivityVerdict:
-    """Map-level test: 'CP' (exact Choi), 'k_positive' (sampled), 'Schwarz' (sampled)."""
-    if map_class == "CP":
+    """Map-level test for a class of `bounds.CLASSES`.
+
+    'cp' is the exact Choi test; '2p' and 'positive' are sampled
+    k-positivity with k = 2 and k = 1; 'schwarz' is the sampled Schwarz
+    check, which expects a unital map in the Heisenberg picture.
+    """
+    if map_class == "cp":
         min_eig, is_psd, witness = psd_min_eig(choi(m).matrix, tol)
         status = CERTIFIED_PASS if is_psd else CERTIFIED_FAIL
         return PositivityVerdict(status=status, margin=min_eig, witness=witness)
-    if map_class == "k_positive":
+    if map_class in ("2p", "positive"):
+        k = 2 if map_class == "2p" else 1
         return _k_positivity_verdict(m, k, cfg, tol, orthogonal=False)
-    if map_class == "Schwarz":
+    if map_class == "schwarz":
         eye = np.eye(m.d, dtype=complex)
         if np.linalg.norm(m.apply(eye) - eye) > 1e-8 * max(1.0, m.norm()):
             raise ValueError("Schwarz check requires a unital map")
@@ -379,12 +384,8 @@ def variance_contractivity_check(
         gap = variance(a) - variance(m_heis.apply(a))
         if gap < worst:
             worst, worst_a = gap, a
-    if worst < -tol.psd_tol:
-        return PositivityVerdict(
-            status=VIOLATION_FOUND, margin=worst, witness=worst_a,
-            samples_used=n_samples, seed=seed,
-        )
+    status = VIOLATION_FOUND if worst < -tol.psd_tol else NO_VIOLATION_FOUND
     return PositivityVerdict(
-        status=NO_VIOLATION_FOUND, margin=worst, witness=worst_a,
+        status=status, margin=worst, witness=worst_a,
         samples_used=n_samples, seed=seed,
     )

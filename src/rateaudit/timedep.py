@@ -27,7 +27,7 @@ from .positivity import (
     check_map_class,
     extended_superoperator,
 )
-from .bounds import AuditReport, audit_rates
+from .bounds import CLASSES, AuditReport, audit_rates
 
 
 @dataclass(frozen=True)
@@ -146,23 +146,15 @@ def time_local_rates(
 
 NOT_APPLICABLE = "not_applicable"
 
-_DIVISIBILITY_CLASSES = ("CP", "two_positive", "schwarz", "positive")
-
 
 def _interval_verdict(p: Superoperator, div_class: str, cfg: SamplerConfig, tol):
-    if div_class == "CP":
-        return check_map_class(p, "CP", tol=tol)
-    if div_class == "two_positive":
-        return check_map_class(p, "k_positive", k=2, cfg=cfg, tol=tol)
-    if div_class == "positive":
-        return check_map_class(p, "k_positive", k=1, cfg=cfg, tol=tol)
     if div_class == "schwarz":
-        heis = adjoint_superoperator(p)
+        # the Schwarz inequality is tested on the unital Heisenberg adjoint
+        p = adjoint_superoperator(p)
         eye = np.eye(p.d, dtype=complex)
-        if np.linalg.norm(heis.apply(eye) - eye) > 1e-6 * max(1.0, heis.norm()):
+        if np.linalg.norm(p.apply(eye) - eye) > 1e-6 * max(1.0, p.norm()):
             return PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
-        return check_map_class(heis, "Schwarz", cfg=cfg, tol=tol)
-    raise ValueError(f"unknown divisibility class {div_class!r}")
+    return check_map_class(p, div_class, cfg, tol)
 
 
 def divisibility_audit(
@@ -173,13 +165,15 @@ def divisibility_audit(
     steps_per_interval: int = 200,
     tol: ToleranceConfig = DEFAULT_TOL,
 ):
-    """Per-interval verdicts for the requested divisibility class.
+    """Per-interval verdicts for a divisibility class of `bounds.CLASSES`:
+    each interval propagator is tested with `check_map_class`, 'schwarz' on
+    its Heisenberg adjoint (`not_applicable` when that is not unital).
 
     Returns (list of ((t_i, t_{i+1}), verdict), index of first violating
     interval or None).  Per-interval sampler seeds derive from (cfg.seed,
     interval index) so results are order-independent.
     """
-    if div_class not in _DIVISIBILITY_CLASSES:
+    if div_class not in CLASSES:
         raise ValueError(f"unknown divisibility class {div_class!r}")
     grid = build_grid(spec, grid_times, steps_per_interval)
     results = []

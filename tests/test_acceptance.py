@@ -281,7 +281,7 @@ def test_criterion_09_tanh_example():
 
     grid = np.round(np.arange(0.0, 3.0 + 1e-9, 0.1), 10)
     results, first = divisibility_audit(
-        td, grid, "CP", SamplerConfig(n_restarts=4), steps_per_interval=60
+        td, grid, "cp", SamplerConfig(n_restarts=4), steps_per_interval=60
     )
     # the map from t=0 is still CP; every interval starting at t > 0 violates
     assert not results[0][1].violated

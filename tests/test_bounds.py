@@ -5,6 +5,7 @@ import pytest
 
 from conftest import ccp_spec
 from rateaudit.bounds import (
+    CLASSES,
     audit_rates,
     audit_steady_states,
     rate_constant,
@@ -19,6 +20,9 @@ from rateaudit.generator import (
     pauli_spec,
     relaxation_rates,
 )
+from rateaudit.classical import trace_inequality
+from rateaudit.positivity import SamplerConfig, check_map_class
+from rateaudit.timedep import TimeDependentSpec, divisibility_audit
 
 
 def report_from_rates(rates):
@@ -144,3 +148,38 @@ def test_audit_steady_states_rejects_zero_generator():
     zero = Superoperator(d=2, matrix=np.zeros((4, 4)))
     with pytest.raises(ValueError):
         audit_steady_states(zero, "cp")
+
+
+# one class vocabulary: the map checks, the divisibility audit and the trace
+# inequality take the strings of CLASSES and nothing else
+
+def _class_fixtures():
+    ident = Superoperator(d=2, matrix=np.eye(4, dtype=complex))
+    spec = ccp_spec(0, 2)
+    td = TimeDependentSpec(d=2, evaluator=lambda t: spec, t_start=0.0, t_end=1.0)
+    return ident, td, build_superoperator(spec), np.eye(2, dtype=complex)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_every_layer_takes_the_class_vocabulary(cls):
+    ident, td, sup, basis = _class_fixtures()
+    cfg = SamplerConfig(n_restarts=2)
+    assert not check_map_class(ident, cls, cfg).violated
+    results, first = divisibility_audit(td, [0.0, 0.5, 1.0], cls, cfg, steps_per_interval=5)
+    assert len(results) == 2 and first is None
+    if cls == "positive":
+        with pytest.raises(ValueError):
+            trace_inequality(sup, basis, cls)  # no trace inequality for positive maps
+    else:
+        assert trace_inequality(sup, basis, cls)[2]
+
+
+@pytest.mark.parametrize("old", ["CP", "two_positive", "k_positive", "Schwarz", "ccp_or_2positive"])
+def test_old_class_spellings_are_rejected(old):
+    ident, td, sup, basis = _class_fixtures()
+    with pytest.raises(ValueError):
+        check_map_class(ident, old)
+    with pytest.raises(ValueError):
+        divisibility_audit(td, [0.0, 1.0], old)
+    with pytest.raises(ValueError):
+        trace_inequality(sup, basis, old)

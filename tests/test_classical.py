@@ -100,13 +100,13 @@ def test_stochastic_from_ccp_random_bases():
 
 def test_trace_inequality_examples():
     lhs, rhs, ok, gap = trace_inequality(
-        build_superoperator(pauli_spec(1, 1, 1)), COMP2, "ccp_or_2positive"
+        build_superoperator(pauli_spec(1, 1, 1)), COMP2, "cp"
     )
     assert lhs == pytest.approx(-6.0) and rhs == pytest.approx(-4.0)
     assert ok and gap == pytest.approx(2.0)
 
     lhs, rhs, ok, gap = trace_inequality(
-        build_superoperator(pauli_spec(1, 1, -1)), COMP2, "ccp_or_2positive"
+        build_superoperator(pauli_spec(1, 1, -1)), COMP2, "cp"
     )
     assert lhs == pytest.approx(-2.0) and rhs == pytest.approx(-4.0)
     assert not ok and gap == pytest.approx(-2.0)
@@ -126,7 +126,7 @@ def test_trace_inequality_ccp_random_bases():
     for d in (2, 3, 4):
         sup = build_superoperator(ccp_spec(d, d))
         for _ in range(15):
-            _, _, ok, _ = trace_inequality(sup, random_basis(rng, d), "ccp_or_2positive")
+            _, _, ok, _ = trace_inequality(sup, random_basis(rng, d), "cp")
             assert ok
 
 

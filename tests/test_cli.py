@@ -178,15 +178,30 @@ def test_sampler_flags_validated(capsys, fixtures):
         assert out == "" and err.count("\n") == 1 and "positive integer" in err
 
 
-def test_bad_flag_values_are_usage_errors(capsys, fixtures):
-    # out-of-range values are usage errors (exit 3, one line), never exit 1 or 0
+def test_bad_flag_values_are_usage_errors(capsys, fixtures, tmp_path):
+    # out-of-range values and numerical failures are usage errors (exit 3, one
+    # line), never exit 1 or 0
     pauli = str(fixtures / "pauli_111.json")
+    tanh = str(fixtures / "tanh_025.json")
+    huge_z = [[[1e200, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1e200, 0.0]]]
+    huge_plus = [[[0.0, 0.0], [1e200, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    huge_h = write_spec(tmp_path, "huge_h.json", dict(ZERO_SPEC, hamiltonian=huge_z))
+    huge_jump = write_spec(tmp_path, "huge_jump.json",
+                           dict(ZERO_SPEC, jumps=[{"matrix": huge_plus, "rate": 1.0}]))
     for argv in (
         ["spectrum", pauli, "--tol", "0"],
         ["check", pauli, "--ccp", "--tol", "nan"],
-        ["divisibility", str(fixtures / "tanh_025.json"), "--class", "cp",
-         "--t0", "-1", "--t1", "1.0"],
+        ["divisibility", tanh, "--class", "cp", "--t0", "-1", "--t1", "1.0"],
         ["kms", pauli, "--epsilon", "-1"],
+        ["check", pauli, "--ccp", "--seed", "-1"],
+        ["divisibility", tanh, "--class", "cp", "--t1", "1.0", "--seed", "-1"],
+        ["sample", "--d", "2", "--count", "1", "--class-check", "cp", "--seed", "-1"],
+        ["kms", pauli, "--seed", "-1"],
+        ["kms", pauli, "--epsilon", "1e300"],
+        ["check", huge_h, "--ccp"],
+        ["check", huge_h, "--k", "2"],
+        ["spectrum", huge_jump],
+        ["spectrum", pauli, "--out", str(tmp_path / "missing" / "report.json")],
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
@@ -223,6 +238,9 @@ def test_steady(capsys, fixtures, tmp_path):
     path = write_spec(tmp_path, "zero.json", ZERO_SPEC)
     code, _, err = run(capsys, "steady", path, "--class", "cp")
     assert code == EXIT_USAGE and "trivial" in err
+
+    code, _, err = run(capsys, "steady", str(fixtures / "dephasing.json"), "--class", "positive")
+    assert code == EXIT_USAGE and "no steady-state bound" in err
 
 
 def test_steady_schwarz_floor_d3(capsys, tmp_path):
@@ -299,8 +317,8 @@ def test_input_digest_matches_file(capsys, fixtures):
 
 
 # ---------------------------------------------------------------------------
-# fuzzing main: malformed documents and flag values give exit 3 and one line,
-# well-formed ones a report
+# fuzzing main: malformed documents, bad flag values and numerical failures of
+# huge magnitudes give exit 3 and one line, everything else a report
 
 _HERMITIAN = (
     [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],  # zero
@@ -308,19 +326,31 @@ _HERMITIAN = (
     [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]],  # sigma_z
 )
 _SIGMA_PLUS = [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_MAGNITUDE = st.one_of(st.just(1.0), st.floats(-1e300, 1e300))
 _JUNK = st.one_of(
-    st.none(), st.booleans(), st.integers(-5, 5), st.floats(-1e3, 1e3),
+    st.none(), st.booleans(), st.integers(-5, 5), _FINITE,
     st.text(max_size=3), st.lists(st.integers(0, 2), max_size=3),
     st.dictionaries(st.sampled_from(["kind", "d", "rate"]), st.integers(0, 3), max_size=2),
 )
+
+
+def _scaled(matrices):
+    """One of `matrices` with every entry multiplied by a magnitude up to 1e300."""
+    return st.builds(
+        lambda m, c: [[[c * re, c * im] for re, im in row] for row in m],
+        st.sampled_from(matrices), _MAGNITUDE,
+    )
+
+
 _JUMP = st.fixed_dictionaries({
-    "matrix": st.sampled_from(_HERMITIAN[1:] + (_SIGMA_PLUS,)),
-    "rate": st.floats(-2.0, 2.0),
+    "matrix": _scaled(_HERMITIAN[1:] + (_SIGMA_PLUS,)),
+    "rate": st.one_of(st.floats(-2.0, 2.0), st.floats(-1e300, 1e300)),
 })
 _STATIC = st.fixed_dictionaries({
     "kind": st.just("static"),
     "d": st.just(2),
-    "hamiltonian": st.sampled_from(_HERMITIAN),
+    "hamiltonian": _scaled(_HERMITIAN),
     "jumps": st.lists(_JUMP, max_size=3),
 })
 _TIME_DEPENDENT = st.one_of(
@@ -362,7 +392,7 @@ def _documents(draw, base):
 
 
 _FLAG_VALUE = st.one_of(
-    st.floats(-1e3, 1e3).map(repr),
+    _FINITE.map(repr),
     st.sampled_from(["0", "nan", "inf", "-inf", "-1", "1", "0.5", "1e-12", "x", ""]),
 )
 _COMMANDS = (

@@ -194,14 +194,14 @@ def test_dissipativity_sweep_agrees_with_pauli_oracle():
 
 def test_map_class_identity_and_transposition():
     ident = Superoperator(d=2, matrix=np.eye(4, dtype=complex))
-    assert check_map_class(ident, "CP").status == CERTIFIED_PASS
+    assert check_map_class(ident, "cp").status == CERTIFIED_PASS
 
     transpose = map_from_action(2, lambda x: x.T, picture="heisenberg")
     assert (
-        check_map_class(Superoperator(d=2, matrix=transpose.matrix), "CP").status
+        check_map_class(Superoperator(d=2, matrix=transpose.matrix), "cp").status
         == CERTIFIED_FAIL
     )
-    verdict = check_map_class(transpose, "Schwarz", cfg=FAST)
+    verdict = check_map_class(transpose, "schwarz", cfg=FAST)
     assert verdict.status == VIOLATION_FOUND
     replayed = np.linalg.eigvalsh(schwarz_defect(transpose, verdict.witness))[0]
     assert replayed == pytest.approx(verdict.margin, abs=1e-10)
@@ -215,9 +215,9 @@ def test_map_class_schwarz_not_2_positive():
     phi = map_from_action(
         2, lambda x: 0.5 * (0.5 * np.eye(2) * np.trace(x) + x.T), picture="heisenberg"
     )
-    assert check_map_class(phi, "Schwarz", cfg=FAST).status == NO_VIOLATION_FOUND
+    assert check_map_class(phi, "schwarz", cfg=FAST).status == NO_VIOLATION_FOUND
     assert (
-        check_map_class(Superoperator(d=2, matrix=phi.matrix), "CP").status
+        check_map_class(Superoperator(d=2, matrix=phi.matrix), "cp").status
         == CERTIFIED_FAIL
     )
 
@@ -226,15 +226,15 @@ def test_map_class_semigroup_hierarchy():
     sup = build_superoperator(ccp_spec(3, 2))
     for t in (0.1, 1.0, 10.0):
         m = Superoperator(d=2, matrix=scipy.linalg.expm(t * sup.matrix))
-        assert check_map_class(m, "CP").status == CERTIFIED_PASS
+        assert check_map_class(m, "cp").status == CERTIFIED_PASS
         assert (
-            check_map_class(m, "k_positive", k=1, cfg=FAST).status
+            check_map_class(m, "positive", cfg=FAST).status
             == NO_VIOLATION_FOUND
         )
         heis = adjoint_superoperator(m)
         eye = np.eye(2, dtype=complex)
         if np.linalg.norm(heis.apply(eye) - eye) < 1e-8:
-            assert check_map_class(heis, "Schwarz", cfg=FAST).status == NO_VIOLATION_FOUND
+            assert check_map_class(heis, "schwarz", cfg=FAST).status == NO_VIOLATION_FOUND
 
 
 def test_map_class_unknown():

@@ -145,7 +145,7 @@ def test_grid_invariants():
 def test_divisibility_constant_ccp():
     td, _ = constant_td(7)
     results, first = divisibility_audit(
-        td, np.linspace(0.0, 1.0, 5), "CP", FAST, steps_per_interval=40
+        td, np.linspace(0.0, 1.0, 5), "cp", FAST, steps_per_interval=40
     )
     assert first is None
     assert all(v.status == "certified_pass" for _, v in results)
@@ -154,7 +154,7 @@ def test_divisibility_constant_ccp():
 def test_divisibility_tanh_cp_fails_after_zero():
     td = builtin_tanh_example(0.25)
     results, first = divisibility_audit(
-        td, np.linspace(0.0, 1.0, 5), "CP", FAST, steps_per_interval=60
+        td, np.linspace(0.0, 1.0, 5), "cp", FAST, steps_per_interval=60
     )
     # the map from t=0 is CPTP, so the first interval passes; all later fail
     assert not results[0][1].violated
