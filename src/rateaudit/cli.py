@@ -282,11 +282,9 @@ def cmd_check(args) -> int:
     elif args.k is not None:
         verdict = check_conditional_k_positivity(sup, args.k, cfg, tol)
         mode = f"conditional_{args.k}_positive"
-    elif args.dissipative:
+    else:  # --dissipative; argparse requires one of the three modes
         verdict = check_dissipativity(adjoint_superoperator(sup), cfg, tol)
         mode = "dissipative"
-    else:
-        raise UsageError("one of --ccp, --k, --dissipative is required")
     report_doc = _base_report("check", digest, args.seed)
     report_doc["verdicts"] = [_verdict_dict(verdict)]
     report_doc["margins"] = [float(verdict.margin)]
@@ -351,8 +349,6 @@ def random_ccp_spec(rng, d: int) -> GeneratorSpec:
 
 def cmd_sample(args) -> int:
     t0 = time.monotonic()
-    if args.d < 2 or args.count < 1:
-        raise UsageError("--d must be >= 2 and --count >= 1")
     tol = _tolerances(args)
 
     def one(index: int):
@@ -501,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="positivity checks of the generator")
     p.add_argument("spec")
-    group = p.add_mutually_exclusive_group()
+    group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ccp", action="store_true")
     group.add_argument("--k", type=_positive_int, default=None)
     group.add_argument("--dissipative", action="store_true")
@@ -525,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_divisibility)
 
     p = sub.add_parser("sample", help="randomized audit harness")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--count", type=int, required=True)
+    p.add_argument("--d", type=_int_at_least(2, "an integer >= 2"), required=True)
+    p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--class-check", dest="class_check", required=True,
                    choices=CLASSES)

@@ -34,13 +34,12 @@ class GeneratorSpec:
 
     hamiltonian: np.ndarray
     jumps: tuple  # of (matrix, rate)
-    tol: ToleranceConfig = DEFAULT_TOL
 
     def __post_init__(self):
         h = as_matrix(self.hamiltonian)
         if h.shape[0] != h.shape[1]:
             raise ValueError("Hamiltonian must be square")
-        if not is_hermitian(h, self.tol):
+        if not is_hermitian(h):
             raise ValueError("Hamiltonian is not Hermitian within tolerance")
         object.__setattr__(self, "hamiltonian", h)
         jumps = []
@@ -108,18 +107,23 @@ class RateReport:
 
 
 def build_superoperator(spec: GeneratorSpec) -> Superoperator:
-    """Matrix of the generator in the column-stacking convention."""
+    """Matrix of the generator in the column-stacking convention.
+
+    Effective-Hamiltonian form: with K = -iH - 1/2 sum_j r_j L_j^dag L_j the
+    generator is rho -> K rho + rho K^dag + sum_j r_j L_j rho L_j^dag, whose
+    matrix is I (x) K + conj(K) (x) I + sum_j r_j conj(L_j) (x) L_j.
+    """
     d = spec.d
+    ops = np.array([op for op, _ in spec.jumps], dtype=complex).reshape(-1, d, d)
+    weighted = np.array([rate for _, rate in spec.jumps]).reshape(-1, 1, 1) * ops
+    anti = ops.reshape(-1, d).conj().T @ weighted.reshape(-1, d)
+    k = -1j * spec.hamiltonian - 0.5 * anti
+    # sum_j r_j conj(L_j)[a, b] L_j[c, e], indexed (a b, c e); the Kronecker
+    # product puts it at row a d + c, column b d + e
+    jump = weighted.reshape(-1, d * d).conj().T @ ops.reshape(-1, d * d)
+    jump = jump.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
     eye = np.eye(d, dtype=complex)
-    h = spec.hamiltonian
-    m = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for op, rate in spec.jumps:
-        anti = op.conj().T @ op
-        m += rate * (
-            np.kron(op.conj(), op)
-            - 0.5 * np.kron(eye, anti)
-            - 0.5 * np.kron(anti.T, eye)
-        )
+    m = np.kron(eye, k) + np.kron(k.conj(), eye) + jump
     return Superoperator(d=d, matrix=m, picture=SCHROEDINGER)
 
 
@@ -170,8 +174,10 @@ def relaxation_rates(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Ra
     idx0 = int(np.argmin(mags))
     if mags[idx0] > zero_thresh:
         raise RuntimeError(
-            "no near-zero eigenvalue: generator is not trace-preserving "
-            f"(min |lambda| = {mags[idx0]:.3e})"
+            f"no eigenvalue within the threshold psd_tol*||L|| = {zero_thresh:.3e} "
+            f"of zero (min |lambda| = {mags[idx0]:.3e}): the generator is not "
+            "trace-preserving, or the tolerance lies below the eigensolver's "
+            "rounding error"
         )
     n_zero = sum(1 for m in mags if m <= zero_thresh)
     _, kdim = numerical_kernel(s.matrix, tol)
@@ -216,14 +222,13 @@ def _hermitian_kernel_basis(s: Superoperator, tol: ToleranceConfig):
 def stationary_states(
     s: Superoperator,
     tol: ToleranceConfig = DEFAULT_TOL,
-    n_samples: int = 256,
     seed: int = 0,
 ):
     """Kernel basis (as matrices), its dimension, and a faithful state if found.
 
-    The faithful-state search samples random points on the unit-trace Hermitian
-    kernel slice and locally refines the best candidate; absence is reported
-    (faithful=None), never assumed.
+    The faithful-state search samples 256 random points on the unit-trace
+    Hermitian kernel slice and locally refines the best candidate; absence is
+    reported (faithful=None), never assumed.
     """
     if s.picture != SCHROEDINGER:
         raise ValueError("stationary_states expects the Schroedinger picture")
@@ -247,7 +252,7 @@ def stationary_states(
 
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
     best_x, best = anchor, min_eig(anchor)
-    for _ in range(n_samples):
+    for _ in range(256):
         x = anchor.copy()
         for dmat in directions:
             x = x + rng.normal(scale=1.0) * dmat
@@ -331,7 +336,7 @@ def integral_stationary(
     return out
 
 
-def check_choi_trace_identity(s: Superoperator, tol: float = 1e-9) -> float:
+def check_choi_trace_identity(s: Superoperator) -> float:
     """|d^2 <psi+|C|psi+> - Tr S| for the Choi matrix of s."""
     lhs = s.d**2 * np.trace(maximally_entangled_projector(s.d) @ choi(s).matrix)
     return abs(lhs - np.trace(s.matrix))

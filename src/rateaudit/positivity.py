@@ -49,7 +49,6 @@ class PositivityVerdict:
     margin: float
     witness: object = None
     samples_used: int = 0
-    seed: int = 0
 
     @property
     def violated(self) -> bool:
@@ -163,7 +162,7 @@ def _sampled_verdict(margin: float, witness, cfg: SamplerConfig, scale: float,
     status = VIOLATION_FOUND if margin < -tol.psd_tol * scale else NO_VIOLATION_FOUND
     return PositivityVerdict(
         status=status, margin=margin, witness=witness,
-        samples_used=cfg.n_restarts, seed=cfg.seed,
+        samples_used=cfg.n_restarts,
     )
 
 
@@ -387,5 +386,5 @@ def variance_contractivity_check(
     status = VIOLATION_FOUND if worst < -tol.psd_tol else NO_VIOLATION_FOUND
     return PositivityVerdict(
         status=status, margin=worst, witness=worst_a,
-        samples_used=n_samples, seed=seed,
+        samples_used=n_samples,
     )

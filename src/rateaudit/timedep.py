@@ -36,7 +36,6 @@ class TimeDependentSpec:
     evaluator: object  # t -> GeneratorSpec
     t_start: float
     t_end: float
-    smoothness: str = "smooth"  # or "piecewise-constant"
 
     def at(self, t: float) -> GeneratorSpec:
         if not (self.t_start <= t <= self.t_end):
@@ -91,7 +90,6 @@ def piecewise_spec(times, specs) -> TimeDependentSpec:
         evaluator=evaluator,
         t_start=times[0],
         t_end=np.inf,
-        smoothness="piecewise-constant",
     )
 
 

@@ -188,6 +188,9 @@ def test_bad_flag_values_are_usage_errors(capsys, fixtures, tmp_path):
     huge_h = write_spec(tmp_path, "huge_h.json", dict(ZERO_SPEC, hamiltonian=huge_z))
     huge_jump = write_spec(tmp_path, "huge_jump.json",
                            dict(ZERO_SPEC, jumps=[{"matrix": huge_plus, "rate": 1.0}]))
+    sigma_x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    flip = write_spec(tmp_path, "flip.json", dict(
+        ZERO_SPEC, jumps=[{"matrix": sigma_x, "rate": r} for r in (0.0, 0.0, 1.0)]))
     for argv in (
         ["spectrum", pauli, "--tol", "0"],
         ["check", pauli, "--ccp", "--tol", "nan"],
@@ -202,10 +205,19 @@ def test_bad_flag_values_are_usage_errors(capsys, fixtures, tmp_path):
         ["check", huge_h, "--k", "2"],
         ["spectrum", huge_jump],
         ["spectrum", pauli, "--out", str(tmp_path / "missing" / "report.json")],
+        ["sample", "--d", "1", "--count", "1", "--class-check", "cp"],
+        ["sample", "--d", "2", "--count", "0", "--class-check", "cp"],
+        ["check", pauli],
     ):
         code, out, err = run(capsys, *argv)
         assert code == EXIT_USAGE, argv
         assert out == "" and err.count("\n") == 1 and err.startswith("rateaudit: error:")
+
+    # a tolerance below the eigensolver's rounding error (min |lambda| is
+    # about 5e-32 here) must not be blamed on the trace-preserving generator
+    code, out, err = run(capsys, "spectrum", flip, "--tol", "2.7e-132")
+    assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
+    assert "psd_tol*||L||" in err and "rounding error" in err
 
 
 def test_sample(capsys):

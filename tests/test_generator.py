@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ccp_spec
+from conftest import ccp_spec, random_hermitian
 from rateaudit.generator import (
     SIGMA_X,
     SIGMA_Z,
@@ -57,13 +57,33 @@ def test_pauli_superoperator_spectrum():
 
 
 def test_build_matches_direct_evaluation():
-    spec = ccp_spec(2, 3)
-    sup = build_superoperator(spec)
-    for i in range(3):
-        for j in range(3):
-            e = np.zeros((3, 3), dtype=complex)
-            e[i, j] = 1.0
-            assert np.linalg.norm(sup.apply(e) - apply_gkls(spec, e)) < 1e-10
+    rng = np.random.default_rng(7)
+
+    def signed(d, n_jumps):
+        ops = rng.normal(size=(n_jumps, d, d)) + 1j * rng.normal(size=(n_jumps, d, d))
+        return GeneratorSpec(
+            hamiltonian=random_hermitian(rng, d),
+            jumps=tuple((op, rate) for op, rate in zip(ops, rng.uniform(-1, 2, n_jumps))),
+        )
+
+    # signed rates at d = 2, 3, 4, 8; Hamiltonian only; jumps only; nothing;
+    # the d = 3 jump list reversed
+    specs = [ccp_spec(2, 3)] + [signed(d, d * d - 1) for d in (2, 3, 4, 8)]
+    specs += [
+        GeneratorSpec(hamiltonian=random_hermitian(rng, 3), jumps=()),
+        GeneratorSpec(hamiltonian=np.zeros((3, 3)), jumps=signed(3, 4).jumps),
+        GeneratorSpec(hamiltonian=np.zeros((2, 2)), jumps=()),
+        GeneratorSpec(hamiltonian=specs[2].hamiltonian, jumps=specs[2].jumps[::-1]),
+    ]
+    for spec in specs:
+        d = spec.d
+        sup = build_superoperator(spec)
+        bound = 1e-12 * max(1.0, sup.norm())
+        for i in range(d):
+            for j in range(d):
+                e = np.zeros((d, d), dtype=complex)
+                e[i, j] = 1.0
+                assert np.linalg.norm(sup.apply(e) - apply_gkls(spec, e)) < bound, (d, i, j)
 
 
 def test_trace_and_hermiticity_preservation():
