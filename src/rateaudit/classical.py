@@ -7,23 +7,49 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix, vectorize
-from .generator import HEISENBERG, SCHROEDINGER, Superoperator, adjoint_superoperator
+from .matcore import as_matrix
+from .generator import HEISENBERG, SCHROEDINGER, Superoperator
 from .bounds import rate_constant
 
 
-def _normalize_basis(basis, d: int) -> list[np.ndarray]:
-    """Accept a list of vectors or a unitary whose columns form the basis."""
+def _normalize_basis(basis, d: int) -> np.ndarray:
+    """Accept a list of vectors or a unitary whose columns form the basis;
+    return that unitary."""
     if isinstance(basis, np.ndarray) and basis.ndim == 2 and basis.shape == (d, d):
-        vecs = [basis[:, i].astype(complex) for i in range(d)]
+        u = basis.astype(complex)
     else:
         vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in basis]
-    if len(vecs) != d or any(v.size != d for v in vecs):
-        raise ValueError("basis must consist of d vectors of length d")
-    gram = np.array([[vi.conj() @ vj for vj in vecs] for vi in vecs])
-    if np.linalg.norm(gram - np.eye(d)) > 1e-10 * d:
+        if len(vecs) != d or any(v.size != d for v in vecs):
+            raise ValueError("basis must consist of d vectors of length d")
+        u = np.column_stack(vecs)
+    if np.linalg.norm(u.conj().T @ u - np.eye(d)) > 1e-10 * d:
         raise ValueError("basis is not orthonormal")
-    return vecs
+    return u
+
+
+def _rotated(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """E^dag M E with E = conj(U) (x) U: the matrix of X -> U^dag L(U X U^dag) U.
+
+    E is unitary and its column b d + a is vec(|e_a><e_b|), so entry
+    [b d + a, b d + a] is <e_a|L(|e_a><e_b|)|e_b> and K_ij = Tr(P_i L(P_j)) is
+    entry [i d + i, j d + j].
+    """
+    e = (u.conj()[:, None, :, None] * u[None, :, None, :]).reshape(u.size, u.size)
+    return e.conj().T @ m @ e
+
+
+def _pair_diagonal(m_u: np.ndarray, d: int) -> np.ndarray:
+    """t[i, j] = Re <e_i|L(|e_i><e_j|)|e_j> read from the rotated matrix."""
+    return np.diagonal(m_u).real.reshape(d, d).T
+
+
+def _classical_matrix(m_u: np.ndarray, d: int, scale: float) -> np.ndarray:
+    """K_ij read from the rotated matrix; its imaginary part must be rounding."""
+    idx = np.arange(d) * (d + 1)
+    k = m_u[np.ix_(idx, idx)]
+    if np.max(np.abs(k.imag)) > 1e-10 * scale:
+        raise AssertionError("classical projection has a large imaginary part")
+    return k.real.copy()
 
 
 @dataclass(frozen=True)
@@ -33,21 +59,13 @@ class ClassicalGenerator:
     basis: tuple
 
 
-def _projector(v: np.ndarray) -> np.ndarray:
-    return np.outer(v, v.conj())
-
-
 def classical_generator(s: Superoperator, basis) -> ClassicalGenerator:
     """K_ij = Tr(P_i L(P_j)) for the projectors onto the given basis."""
     if s.picture != SCHROEDINGER:
         raise ValueError("classical_generator expects the Schroedinger picture")
-    vecs = _normalize_basis(basis, s.d)
-    # Tr(P_i Y) = vec(P_i)^dag vec(Y) for Hermitian P_i, so K = V^dag M V
-    v = np.column_stack([vectorize(_projector(u)) for u in vecs])
-    k = v.conj().T @ s.matrix @ v
-    if np.max(np.abs(k.imag)) > 1e-10 * max(1.0, s.norm()):
-        raise AssertionError("classical projection has a large imaginary part")
-    return ClassicalGenerator(d=s.d, matrix=k.real.copy(), basis=tuple(vecs))
+    u = _normalize_basis(basis, s.d)
+    k = _classical_matrix(_rotated(s.matrix, u), s.d, max(1.0, s.norm()))
+    return ClassicalGenerator(d=s.d, matrix=k, basis=tuple(u.T))
 
 
 def check_stochastic_generator(
@@ -83,24 +101,16 @@ def two_positive_witness_sum(s: Superoperator, basis) -> float:
     """Sum of the conditional-2-positivity quadratic forms over the pair vectors
     |1> (x) |e_i> +/- |2> (x) |e_j|, i != j.
 
-    Algebraically equals 2(d Tr K - Tr L) for any Hermiticity-preserving L;
-    nonnegative exactly when conditional 2-positivity holds on those pairs.
+    The form for the pair (i, j) is t_ii + t_jj - t_ij - t_ji with
+    t_ij = <e_i|L(|e_i><e_j|)|e_j>.  Algebraically the sum equals
+    2(d Tr K - Tr L) for any Hermiticity-preserving L; nonnegative exactly
+    when conditional 2-positivity holds on those pairs.
     """
-    vecs = _normalize_basis(basis, s.d)
     d = s.d
-    total = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            # blocks of (id_2 (x) L)(|phi+><phi+|) evaluated on |phi->
-            ei, ej = vecs[i], vecs[j]
-            t_ii = ei.conj() @ s.apply(np.outer(ei, ei.conj())) @ ei
-            t_jj = ej.conj() @ s.apply(np.outer(ej, ej.conj())) @ ej
-            t_ij = ei.conj() @ s.apply(np.outer(ei, ej.conj())) @ ej
-            t_ji = ej.conj() @ s.apply(np.outer(ej, ei.conj())) @ ei
-            total += float((t_ii + t_jj - t_ij - t_ji).real)
-    return total
+    t = _pair_diagonal(_rotated(s.matrix, _normalize_basis(basis, d)), d)
+    diag = np.diag(t)
+    forms = diag[:, None] + diag[None, :] - t - t.T
+    return float(forms[~np.eye(d, dtype=bool)].sum())
 
 
 def schwarz_pairwise_inequalities(s_heis: Superoperator, basis):
@@ -111,34 +121,21 @@ def schwarz_pairwise_inequalities(s_heis: Superoperator, basis):
     """
     if s_heis.picture != HEISENBERG:
         raise ValueError("expected the Heisenberg picture")
-    eye = np.eye(s_heis.d, dtype=complex)
-    if np.linalg.norm(s_heis.apply(eye)) > 1e-8 * max(1.0, s_heis.norm()):
-        raise ValueError("generator is not unital")
-    vecs = _normalize_basis(basis, s_heis.d)
     d = s_heis.d
-    schro = adjoint_superoperator(s_heis)
-    k = classical_generator(schro, vecs)
-    # K_ij = Tr(P_i L(P_j)) = <e_j| L^dag(P_j... diagonal agrees either picture
-    margins = {}
-    diag_sum = 0.0
-    for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
-            ei, ej = vecs[i], vecs[j]
-            kjj = float(
-                (ej.conj() @ s_heis.apply(np.outer(ej, ej.conj())) @ ej).real
-            )
-            cross = (
-                ej.conj() @ s_heis.apply(np.outer(ej, ei.conj())) @ ei
-                + ei.conj() @ s_heis.apply(np.outer(ei, ej.conj())) @ ej
-            )
-            margins[(i, j)] = kjj - float(cross.real)
-            diag_sum += kjj
-    trace_k = float(np.trace(k.matrix))
+    scale = max(1.0, s_heis.norm())
+    if np.linalg.norm(s_heis.apply(np.eye(d, dtype=complex))) > 1e-8 * scale:
+        raise ValueError("generator is not unital")
+    m_u = _rotated(s_heis.matrix, _normalize_basis(basis, d))
+    # the Schroedinger matrix is M^dag, and E is unitary, so its rotation is m_u^dag
+    trace_k = float(np.trace(_classical_matrix(m_u.conj().T, d, scale)))
+    t = _pair_diagonal(m_u, d)
+    cross = t + t.T
+    pairs = [(i, j) for i in range(d) for j in range(d) if i != j]
+    margins = {(i, j): float(t[j, j] - cross[i, j]) for i, j in pairs}
+    diag_sum = sum(float(t[j, j]) for _, j in margins)
     if abs(diag_sum - (d - 1) * trace_k) > 1e-9 * max(1.0, abs(trace_k), abs(diag_sum)):
         raise AssertionError("pairwise bookkeeping identity failed")
-    all_ok = all(v >= -1e-9 * max(1.0, s_heis.norm()) for v in margins.values())
+    all_ok = all(v >= -1e-9 * scale for v in margins.values())
     return margins, all_ok
 
 

@@ -402,7 +402,7 @@ def cmd_kms(args) -> int:
     sup = build_superoperator(spec)
     if args.epsilon > 0:
         sup = regularize_faithful(sup, args.epsilon)
-    _, m0, faithful = stationary_states(sup, tol, seed=args.seed)
+    _, m0, faithful = stationary_states(sup, tol)
     if faithful is None:
         raise UsageError(
             "no faithful stationary state found; retry with --epsilon > 0"
@@ -414,7 +414,7 @@ def cmd_kms(args) -> int:
     eye = np.eye(spec.d, dtype=complex)
     sym_eigs = np.linalg.eigvals(sym.matrix)
     lo, hi = bendixson_interval(heis.matrix)
-    report_doc = _base_report("kms", digest, args.seed)
+    report_doc = _base_report("kms", digest, None)
     report_doc["details"] = {
         "epsilon": args.epsilon,
         "m0": m0,
@@ -539,7 +539,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kms", help="weighted-adjoint diagnostics")
     p.add_argument("spec")
     p.add_argument("--epsilon", type=_nonnegative, default=0.0)
-    p.add_argument("--seed", type=_seed, default=0)
     _add_common(p)
     p.set_defaults(func=cmd_kms)
 

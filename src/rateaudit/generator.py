@@ -196,17 +196,14 @@ def relaxation_rates(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Ra
     )
 
 
-def _hermitian_kernel_basis(s: Superoperator, tol: ToleranceConfig):
-    """Hermitian spanning set of the kernel, as d x d matrices."""
-    basis, dim = numerical_kernel(s.matrix, tol)
-    if dim == 0:
-        return [], 0
+def _hermitian_kernel_basis(basis: list, d: int) -> list:
+    """Hilbert-Schmidt orthonormal Hermitian basis of the span of the kernel
+    vectors `basis` (from `numerical_kernel`), as d x d matrices."""
     herms = []
     for v in basis:
-        m = devectorize(v, s.d)
+        m = devectorize(v, d)
         herms.append(0.5 * (m + m.conj().T))
         herms.append(0.5j * (m - m.conj().T))
-    # re-orthonormalize in the Hilbert-Schmidt sense, keeping dim elements
     out = []
     for h in herms:
         for prev in out:
@@ -214,71 +211,44 @@ def _hermitian_kernel_basis(s: Superoperator, tol: ToleranceConfig):
         nrm = np.linalg.norm(h)
         if nrm > 1e-8:
             out.append(h / nrm)
-        if len(out) == dim:
+        if len(out) == len(basis):
             break
-    return out, dim
+    return out
 
 
-def stationary_states(
-    s: Superoperator,
-    tol: ToleranceConfig = DEFAULT_TOL,
-    seed: int = 0,
-):
+def stationary_states(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL):
     """Kernel basis (as matrices), its dimension, and a faithful state if found.
 
-    The faithful-state search samples 256 random points on the unit-trace
-    Hermitian kernel slice and locally refines the best candidate; absence is
-    reported (faithful=None), never assumed.
+    The candidate is P0(I/d), where P0 = V (W^dag V)^{-1} W^dag is the spectral
+    projector onto ker L along the other spectral subspaces (V, W orthonormal
+    right and left kernels).  For a positive trace-preserving semigroup P0 is
+    the Cesaro mean of e^{tL}, so a faithful stationary state exists iff
+    P0(I/d) > 0 (M. M. Wolf, Quantum Channels & Operations, 2012).  faithful
+    is None when the kernels differ in dimension, W^dag V is singular (a
+    defective zero mode), the trace of P0(I/d) vanishes, or its least
+    eigenvalue does not exceed psd_tol.
     """
     if s.picture != SCHROEDINGER:
         raise ValueError("stationary_states expects the Schroedinger picture")
-    herms, dim = _hermitian_kernel_basis(s, tol)
+    right, dim = numerical_kernel(s.matrix, tol)
     if dim == 0:
         return [], 0, None
-    traces = np.array([np.trace(h).real for h in herms])
-    if np.max(np.abs(traces)) < 1e-10:
-        return herms, dim, None  # no trace-carrying kernel direction
-    # split the slice into one trace-1 anchor plus traceless directions
-    i0 = int(np.argmax(np.abs(traces)))
-    anchor = herms[i0] / traces[i0]
-    directions = []
-    for i, h in enumerate(herms):
-        if i == i0:
-            continue
-        directions.append(h - traces[i] * anchor)
-
-    def min_eig(x):
-        return float(np.linalg.eigvalsh(0.5 * (x + x.conj().T))[0])
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
-    best_x, best = anchor, min_eig(anchor)
-    for _ in range(256):
-        x = anchor.copy()
-        for dmat in directions:
-            x = x + rng.normal(scale=1.0) * dmat
-        v = min_eig(x)
-        if v > best:
-            best, best_x = v, x
-    # local refinement along each traceless direction
-    step = 0.5
-    for _ in range(60):
-        improved = False
-        for dmat in directions:
-            for sgn in (1.0, -1.0):
-                x = best_x + sgn * step * dmat
-                v = min_eig(x)
-                if v > best:
-                    best, best_x = v, x
-                    improved = True
-        if not improved:
-            step *= 0.5
-            if step < 1e-6:
-                break
-    faithful = None
-    if best > tol.psd_tol:
-        faithful = 0.5 * (best_x + best_x.conj().T)
-        faithful /= np.trace(faithful).real
-    return herms, dim, faithful
+    herms = _hermitian_kernel_basis(right, s.d)
+    left, left_dim = numerical_kernel(s.matrix.conj().T, tol)
+    if left_dim != dim:
+        return herms, dim, None
+    v, w = np.column_stack(right), np.column_stack(left)
+    overlap = w.conj().T @ v
+    # V, W have orthonormal columns, so the singular values of W^dag V lie in [0, 1]
+    if np.linalg.svd(overlap, compute_uv=False)[-1] <= tol.rank_tol:
+        return herms, dim, None
+    mixed = vectorize(np.eye(s.d) / s.d)
+    x = devectorize(v @ np.linalg.solve(overlap, w.conj().T @ mixed), s.d)
+    x = 0.5 * (x + x.conj().T)
+    trace = np.trace(x).real
+    if abs(trace) < 1e-10 or np.linalg.eigvalsh(x / trace)[0] <= tol.psd_tol:
+        return herms, dim, None
+    return herms, dim, x / trace
 
 
 def depolarizing_regulator(d: int) -> Superoperator:

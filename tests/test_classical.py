@@ -185,6 +185,65 @@ def test_diagonal_sum_identity_random():
         schwarz_pairwise_inequalities(heis, random_basis(rng, 2))
 
 
+def loop_witness_sum(s, u):
+    """Reference: the per-pair `apply` loop that two_positive_witness_sum replaced."""
+    vecs = [u[:, i] for i in range(s.d)]
+    d = s.d
+    total = 0.0
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            ei, ej = vecs[i], vecs[j]
+            t_ii = ei.conj() @ s.apply(np.outer(ei, ei.conj())) @ ei
+            t_jj = ej.conj() @ s.apply(np.outer(ej, ej.conj())) @ ej
+            t_ij = ei.conj() @ s.apply(np.outer(ei, ej.conj())) @ ej
+            t_ji = ej.conj() @ s.apply(np.outer(ej, ei.conj())) @ ei
+            total += float((t_ii + t_jj - t_ij - t_ji).real)
+    return total
+
+
+def loop_schwarz_margins(s_heis, u):
+    """Reference: the per-pair `apply` loop that schwarz_pairwise_inequalities
+    replaced; returns (margins, all_ok)."""
+    vecs = [u[:, i] for i in range(s_heis.d)]
+    d = s_heis.d
+    margins = {}
+    for i in range(d):
+        for j in range(d):
+            if i == j:
+                continue
+            ei, ej = vecs[i], vecs[j]
+            kjj = float(
+                (ej.conj() @ s_heis.apply(np.outer(ej, ej.conj())) @ ej).real
+            )
+            cross = (
+                ej.conj() @ s_heis.apply(np.outer(ej, ei.conj())) @ ei
+                + ei.conj() @ s_heis.apply(np.outer(ei, ej.conj())) @ ej
+            )
+            margins[(i, j)] = kjj - float(cross.real)
+    all_ok = all(v >= -1e-9 * max(1.0, s_heis.norm()) for v in margins.values())
+    return margins, all_ok
+
+
+def test_pair_reads_match_pair_loops():
+    rng = np.random.default_rng(6)
+    for d in (2, 3, 4):
+        for _ in range(4):
+            sup = build_superoperator(random_signed_spec(rng, d))
+            heis = adjoint_superoperator(sup)
+            for _ in range(5):
+                basis = random_basis(rng, d)
+                want = loop_witness_sum(sup, basis)
+                got = two_positive_witness_sum(sup, basis)
+                assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+                want_margins, want_ok = loop_schwarz_margins(heis, basis)
+                margins, all_ok = schwarz_pairwise_inequalities(heis, basis)
+                assert list(margins) == list(want_margins) and all_ok == want_ok
+                for key, v in want_margins.items():
+                    assert abs(margins[key] - v) <= 1e-12 * max(1.0, abs(v))
+
+
 def test_eigen_embedding_pauli():
     sup = build_superoperator(pauli_spec(1, 1, -1))
     k, x, resid = eigen_embedding(sup, -2.0, SIGMA_Z)

@@ -200,6 +200,7 @@ def test_bad_flag_values_are_usage_errors(capsys, fixtures, tmp_path):
         ["divisibility", tanh, "--class", "cp", "--t1", "1.0", "--seed", "-1"],
         ["sample", "--d", "2", "--count", "1", "--class-check", "cp", "--seed", "-1"],
         ["kms", pauli, "--seed", "-1"],
+        ["kms", pauli, "--seed", "0"],
         ["kms", pauli, "--epsilon", "1e300"],
         ["check", huge_h, "--ccp"],
         ["check", huge_h, "--k", "2"],

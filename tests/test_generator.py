@@ -20,6 +20,7 @@ from rateaudit.generator import (
     stationary_states,
     superoperator_from_choi,
 )
+from rateaudit.matcore import vectorize
 
 
 def dephasing_spec():
@@ -213,7 +214,7 @@ def test_stationary_states_dephasing():
     basis, m0, faithful = stationary_states(build_superoperator(dephasing_spec()))
     assert m0 == 2
     assert faithful is not None
-    # sampled maximization of the minimal eigenvalue converges to I/2
+    # the kernel projector maps I/2 to itself
     assert np.linalg.norm(faithful - np.eye(2) / 2) < 1e-5
 
 
@@ -223,6 +224,28 @@ def test_stationary_states_unique_and_trivial():
     zero = Superoperator(d=2, matrix=np.zeros((4, 4), dtype=complex))
     _, m0, _ = stationary_states(zero)
     assert m0 == 4
+
+
+def test_stationary_states_exact_on_degenerate_kernels():
+    # dephasing keeps every diagonal matrix, so P0(I/d) = I/d exactly
+    w = np.exp(2j * np.pi / 3)
+    clock = GeneratorSpec(hamiltonian=np.zeros((3, 3)), jumps=((np.diag([1, w, w * w]), 1.0),))
+    for spec in (clock, dephasing_spec()):
+        _, m0, faithful = stationary_states(build_superoperator(spec))
+        assert m0 == spec.d
+        assert np.linalg.norm(faithful - np.eye(spec.d) / spec.d) < 1e-12
+
+
+def test_defective_zero_has_no_faithful_state():
+    # L(X) = Tr(sigma_x X) sigma_z is trace-preserving and nilpotent: its zero
+    # eigenvalue has algebraic multiplicity 4 but a 3-dimensional kernel
+    m = np.outer(vectorize(SIGMA_Z), vectorize(SIGMA_X).conj())
+    nilpotent = Superoperator(d=2, matrix=m)
+    assert relaxation_rates(nilpotent).defective_zero
+    _, m0, faithful = stationary_states(nilpotent)
+    assert m0 == 3 and faithful is None
+    _, m0, faithful = stationary_states(regularize_faithful(nilpotent, 0.1))
+    assert m0 == 1 and np.linalg.norm(faithful - np.eye(2) / 2) < 1e-12
 
 
 def test_regularize_faithful():
