@@ -43,11 +43,12 @@ def _pair_diagonal(m_u: np.ndarray, d: int) -> np.ndarray:
     return np.diagonal(m_u).real.reshape(d, d).T
 
 
-def _classical_matrix(m_u: np.ndarray, d: int, scale: float) -> np.ndarray:
-    """K_ij read from the rotated matrix; its imaginary part must be rounding."""
-    idx = np.arange(d) * (d + 1)
+def _classical_matrix(m_u: np.ndarray, s: Superoperator) -> np.ndarray:
+    """K_ij read from the rotated matrix of s; its imaginary part must be rounding."""
+    idx = np.arange(s.d) * (s.d + 1)
     k = m_u[np.ix_(idx, idx)]
-    if np.max(np.abs(k.imag)) > 1e-10 * scale:
+    imag = np.max(np.abs(k.imag))
+    if imag > 1e-10 and imag > 1e-10 * max(1.0, s.norm()):  # scale >= 1: SVD only above 1e-10
         raise AssertionError("classical projection has a large imaginary part")
     return k.real.copy()
 
@@ -64,7 +65,7 @@ def classical_generator(s: Superoperator, basis) -> ClassicalGenerator:
     if s.picture != SCHROEDINGER:
         raise ValueError("classical_generator expects the Schroedinger picture")
     u = _normalize_basis(basis, s.d)
-    k = _classical_matrix(_rotated(s.matrix, u), s.d, max(1.0, s.norm()))
+    k = _classical_matrix(_rotated(s.matrix, u), s)
     return ClassicalGenerator(d=s.d, matrix=k, basis=tuple(u.T))
 
 
@@ -127,7 +128,7 @@ def schwarz_pairwise_inequalities(s_heis: Superoperator, basis):
         raise ValueError("generator is not unital")
     m_u = _rotated(s_heis.matrix, _normalize_basis(basis, d))
     # the Schroedinger matrix is M^dag, and E is unitary, so its rotation is m_u^dag
-    trace_k = float(np.trace(_classical_matrix(m_u.conj().T, d, scale)))
+    trace_k = float(np.trace(_classical_matrix(m_u.conj().T, s_heis)))
     t = _pair_diagonal(m_u, d)
     cross = t + t.T
     pairs = [(i, j) for i in range(d) for j in range(d) if i != j]

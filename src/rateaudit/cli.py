@@ -14,11 +14,13 @@ import time
 
 import numpy as np
 
-from .matcore import ToleranceConfig
+from .matcore import ToleranceConfig, is_hermitian, require_finite
 from .generator import (
     GeneratorSpec,
     adjoint_superoperator,
     build_superoperator,
+    gkls_matrices,
+    rate_reports,
     relaxation_rates,
     regularize_faithful,
     stationary_states,
@@ -336,31 +338,47 @@ def cmd_divisibility(args) -> int:
     return EXIT_PASS if first_violation is None else EXIT_VIOLATION
 
 
+def _draw_ccp(rng, d: int):
+    """The draws of `random_ccp_spec` as arrays (h, ops, rates).  H takes one
+    normal(size=(2, d, d)) (real, then imaginary part); each jump then takes one
+    more and one random(), which is uniform() bit for bit (0 + 1 * u)."""
+    a = rng.normal(size=(2, d, d))
+    a = a[0] + 1j * a[1]
+    h = 0.5 * (a + a.conj().T)
+    l = np.empty((d * d - 1, 2, d, d))
+    rates = np.empty(d * d - 1)
+    for j in range(d * d - 1):
+        l[j] = rng.normal(size=(2, d, d))
+        rates[j] = rng.random()
+    return h, (l[:, 0] + 1j * l[:, 1]) / np.sqrt(2 * d), rates
+
+
 def random_ccp_spec(rng, d: int) -> GeneratorSpec:
     """Random CCP instance: Gaussian Hermitian H, Gaussian jumps, rates U[0,1]."""
-    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    h = 0.5 * (a + a.conj().T)
-    jumps = []
-    for _ in range(d * d - 1):
-        l = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        jumps.append((l / np.sqrt(2 * d), float(rng.uniform())))
-    return GeneratorSpec(hamiltonian=h, jumps=tuple(jumps))
+    h, ops, rates = _draw_ccp(rng, d)
+    return GeneratorSpec(hamiltonian=h, jumps=tuple(zip(ops, rates)))
+
+
+# bytes of stacked generator matrices per `sample` block: memory stays bounded at large d
+SAMPLE_BLOCK_BYTES = 1 << 20
 
 
 def cmd_sample(args) -> int:
     t0 = time.monotonic()
     tol = _tolerances(args)
-
-    def one(index: int):
-        rng = np.random.default_rng(np.random.SeedSequence([args.seed, index]))
-        spec = random_ccp_spec(rng, args.d)
-        rr = relaxation_rates(build_superoperator(spec), tol)
-        audit = audit_rates(rr, args.class_check, args.d)
-        return audit.satisfied, audit.margin
-
-    results = [one(i) for i in range(args.count)]
-    n_pass = sum(1 for ok, _ in results if ok)
-    worst = min(m for _, m in results)
+    block = max(1, SAMPLE_BLOCK_BYTES // (16 * args.d**4))
+    n_pass, worst = 0, np.inf
+    for start in range(0, args.count, block):
+        h, ops, rates = map(np.stack, zip(*(
+            _draw_ccp(np.random.default_rng(np.random.SeedSequence([args.seed, i])), args.d)
+            for i in range(start, min(start + block, args.count))
+        )))
+        if not is_hermitian(h):
+            raise ValueError("Hamiltonian is not Hermitian within tolerance")
+        for rr in rate_reports(require_finite(gkls_matrices(h, ops, rates)), tol):
+            audit = audit_rates(rr, args.class_check, args.d)
+            n_pass += audit.satisfied
+            worst = min(worst, audit.margin)
     report_doc = _base_report("sample", "-", args.seed)
     report_doc["margins"] = [worst]
     report_doc["details"] = {

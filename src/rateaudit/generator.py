@@ -11,7 +11,6 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     devectorize,
-    eig_general,
     is_hermitian,
     numerical_kernel,
     spectral_norm,
@@ -106,25 +105,33 @@ class RateReport:
     defective_zero: bool = False
 
 
-def build_superoperator(spec: GeneratorSpec) -> Superoperator:
-    """Matrix of the generator in the column-stacking convention.
-
-    Effective-Hamiltonian form: with K = -iH - 1/2 sum_j r_j L_j^dag L_j the
-    generator is rho -> K rho + rho K^dag + sum_j r_j L_j rho L_j^dag, whose
-    matrix is I (x) K + conj(K) (x) I + sum_j r_j conj(L_j) (x) L_j.
+def gkls_matrices(h: np.ndarray, ops: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Generator matrices (N, d^2, d^2), column stacking, of the specs given as
+    h (N, d, d), ops (N, J, d, d) and rates (N, J).  With K = -iH - 1/2 sum_j
+    r_j L_j^dag L_j the generator is rho -> K rho + rho K^dag + sum_j r_j L_j rho
+    L_j^dag, whose matrix is I (x) K + conj(K) (x) I + sum_j r_j conj(L_j) (x) L_j.
     """
-    d = spec.d
-    ops = np.array([op for op, _ in spec.jumps], dtype=complex).reshape(-1, d, d)
-    weighted = np.array([rate for _, rate in spec.jumps]).reshape(-1, 1, 1) * ops
-    anti = ops.reshape(-1, d).conj().T @ weighted.reshape(-1, d)
-    k = -1j * spec.hamiltonian - 0.5 * anti
+    n, d = h.shape[0], h.shape[-1]
+    weighted = rates[..., None, None] * ops
+    anti = ops.reshape(n, -1, d).conj().swapaxes(1, 2) @ weighted.reshape(n, -1, d)
+    k = -1j * h - 0.5 * anti
     # sum_j r_j conj(L_j)[a, b] L_j[c, e], indexed (a b, c e); the Kronecker
     # product puts it at row a d + c, column b d + e
-    jump = weighted.reshape(-1, d * d).conj().T @ ops.reshape(-1, d * d)
-    jump = jump.reshape(d, d, d, d).swapaxes(1, 2).reshape(d * d, d * d)
+    jump = weighted.reshape(n, -1, d * d).conj().swapaxes(1, 2) @ ops.reshape(n, -1, d * d)
+    jump = jump.reshape(n, d, d, d, d).swapaxes(2, 3).reshape(n, d * d, d * d)
+    # entry [a d + c, b d + e] sits at axes (a, c, b, e): (I (x) K) is I[a, b] K[c, e]
     eye = np.eye(d, dtype=complex)
-    m = np.kron(eye, k) + np.kron(k.conj(), eye) + jump
-    return Superoperator(d=d, matrix=m, picture=SCHROEDINGER)
+    m = eye[:, None, :, None] * k[:, None, :, None, :]
+    m = m + k.conj()[:, :, None, :, None] * eye[:, None, :]  # + conj(K)[a, b] I[c, e]
+    return m.reshape(n, d * d, d * d) + jump
+
+
+def build_superoperator(spec: GeneratorSpec) -> Superoperator:
+    """Matrix of the generator: the one-spec case of `gkls_matrices`."""
+    ops = np.array([op for op, _ in spec.jumps], dtype=complex).reshape(1, -1, spec.d, spec.d)
+    rates = np.array([[rate for _, rate in spec.jumps]], dtype=float)
+    m = gkls_matrices(spec.hamiltonian[None], ops, rates)[0]
+    return Superoperator(d=spec.d, matrix=m, picture=SCHROEDINGER)
 
 
 def adjoint_superoperator(s: Superoperator) -> Superoperator:
@@ -160,40 +167,48 @@ def superoperator_from_choi(c: ChoiMatrix, picture: str = SCHROEDINGER) -> Super
     return Superoperator(d=c.d, matrix=_reshuffle(c.d * c.matrix, c.d), picture=picture)
 
 
-def relaxation_rates(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> RateReport:
-    """All d^2 eigenvalues; one near-zero mode dropped, the rest negated.
-
-    When the zero eigenvalue is degenerate exactly one copy is dropped and the
-    remaining ones enter as zero rates, which keeps sum(Gamma) = -Re Tr exact.
+def rate_reports(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[RateReport]:
+    """Rates of each matrix of an (N, n, n) stack from its eigenvalues, sorted
+    by (real part descending, imaginary part ascending): one near-zero mode
+    dropped, the rest negated; other copies of a degenerate zero stay as zero
+    rates, which keeps sum(Gamma) = -Re Tr L exact.  The singular values give
+    the scale max(1, ||L||) and, as in `numerical_kernel`, the kernel dimension.
     """
-    scale = max(1.0, s.norm())
+    vals = np.linalg.eigvals(m)
+    vals = np.take_along_axis(vals, np.lexsort((vals.imag, -vals.real), axis=-1), -1)
+    svals = np.linalg.svd(m, compute_uv=False)
+    scale = np.maximum(1.0, svals[:, 0])
+    resid = np.abs(vals.sum(axis=-1) - np.trace(m, axis1=-2, axis2=-1))
     zero_thresh = tol.psd_tol * scale
-    pairs = eig_general(s.matrix)
-    vals = [v for v, _ in pairs]
-    mags = [abs(v) for v in vals]
-    idx0 = int(np.argmin(mags))
-    if mags[idx0] > zero_thresh:
-        raise RuntimeError(
-            f"no eigenvalue within the threshold psd_tol*||L|| = {zero_thresh:.3e} "
-            f"of zero (min |lambda| = {mags[idx0]:.3e}): the generator is not "
-            "trace-preserving, or the tolerance lies below the eigensolver's "
-            "rounding error"
-        )
-    n_zero = sum(1 for m in mags if m <= zero_thresh)
-    _, kdim = numerical_kernel(s.matrix, tol)
-    defective = kdim < n_zero
-    rest = [v for i, v in enumerate(vals) if i != idx0]
-    gammas = sorted((-v.real for v in rest), reverse=True)
-    unstable = any(g < -zero_thresh for g in gammas)
-    return RateReport(
-        eigenvalues=tuple(vals),
-        rates=tuple(gammas),
-        gamma_max=gammas[0] if gammas else 0.0,
-        rate_sum=float(sum(gammas)),
-        dropped_zero_index=idx0,
-        unstable=unstable,
-        defective_zero=defective,
-    )
+    mags = np.abs(vals)
+    idx0 = np.argmin(mags, axis=-1)
+    n_zero = np.sum(mags <= zero_thresh[:, None], axis=-1)
+    kdim = np.sum(svals <= tol.rank_tol * m.shape[-1] * svals[:, :1], axis=-1)
+    reports = []
+    for i, v in enumerate(vals.tolist()):
+        if resid[i] > 1e-9 * scale[i]:  # the eigensolver lost accuracy
+            raise np.linalg.LinAlgError(f"eigenvalue sum deviates from trace by {resid[i]:.3e}")
+        if mags[i, idx0[i]] > zero_thresh[i]:
+            raise RuntimeError(
+                f"no eigenvalue within the threshold psd_tol*||L|| = {zero_thresh[i]:.3e} of "
+                f"zero (min |lambda| = {mags[i, idx0[i]]:.3e}): the generator is not trace-"
+                "preserving, or the tolerance lies below the eigensolver's rounding error")
+        gammas = sorted((-x.real for j, x in enumerate(v) if j != idx0[i]), reverse=True)
+        reports.append(RateReport(
+            eigenvalues=tuple(v),
+            rates=tuple(gammas),
+            gamma_max=gammas[0] if gammas else 0.0,
+            rate_sum=float(sum(gammas)),
+            dropped_zero_index=int(idx0[i]),
+            unstable=any(g < -zero_thresh[i] for g in gammas),
+            defective_zero=bool(kdim[i] < n_zero[i]),
+        ))
+    return reports
+
+
+def relaxation_rates(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> RateReport:
+    """Relaxation rates of one generator: the one-matrix case of `rate_reports`."""
+    return rate_reports(s.matrix[None], tol)[0]
 
 
 def _hermitian_kernel_basis(basis: list, d: int) -> list:

@@ -33,6 +33,11 @@ def as_matrix(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
+    return require_finite(a)
+
+
+def require_finite(a: np.ndarray) -> np.ndarray:
+    """The complex array a (a matrix or a stack), once every entry is finite."""
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix contains NaN/Inf entries")
     return a
@@ -87,9 +92,14 @@ def eig_general(m) -> list[tuple[complex, np.ndarray]]:
 
 
 def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    m = _require_square(m)
-    scale = max(1.0, spectral_norm(m))
-    return np.linalg.norm(m - m.conj().T, 2) <= tol.hermiticity_tol * scale
+    """||m - m^dag||_2 <= hermiticity_tol max(1, ||m||_2), for m or each of a finite stack."""
+    m = _require_square(m) if np.ndim(m) == 2 else m
+    adj = m.conj().swapaxes(-1, -2)
+    if np.array_equal(m, adj):  # exactly Hermitian: within any tolerance
+        return True
+    defect = np.linalg.norm(m - adj, 2, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(m, 2, axis=(-2, -1)))
+    return bool(np.all(defect <= tol.hermiticity_tol * scale))
 
 
 def psd_min_eig(m, tol: ToleranceConfig = DEFAULT_TOL):

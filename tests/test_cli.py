@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rateaudit import cli
+from rateaudit.bounds import audit_rates
 from rateaudit.cli import (
     EXIT_INCONCLUSIVE,
     EXIT_PASS,
@@ -15,8 +17,10 @@ from rateaudit.cli import (
     UsageError,
     load_spec_file,
     main,
+    random_ccp_spec,
     render_report,
 )
+from rateaudit.generator import Superoperator, build_superoperator, relaxation_rates
 
 
 def run(capsys, *argv):
@@ -237,6 +241,64 @@ def test_sample_determinism(capsys):
     _, out1, _ = run(capsys, *argv)
     _, out2, _ = run(capsys, *argv)
     assert out1 == out2
+
+
+def test_random_ccp_spec_reproduces_per_jump_draws():
+    def reference(rng, d):
+        # one draw per matrix half and per rate, in spec order
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = 0.5 * (a + a.conj().T)
+        jumps = []
+        for _ in range(d * d - 1):
+            l = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            jumps.append((l / np.sqrt(2 * d), float(rng.uniform())))
+        return h, jumps
+
+    for d in (2, 3, 4, 5):
+        for seed in range(3):
+            spec = random_ccp_spec(np.random.default_rng([seed, d]), d)
+            h, jumps = reference(np.random.default_rng([seed, d]), d)
+            assert spec.hamiltonian.tobytes() == h.tobytes()
+            assert len(spec.jumps) == len(jumps)
+            for (op, rate), (ref_op, ref_rate) in zip(spec.jumps, jumps):
+                assert op.tobytes() == ref_op.tobytes() and rate == ref_rate
+
+
+def test_sample_blocks_match_per_spec_loop(capsys, monkeypatch):
+    # blocks of 3 specs at d = 2, 1 at d = 3 and d = 4
+    monkeypatch.setattr(cli, "SAMPLE_BLOCK_BYTES", 3 * 16 * 2**4)
+    for d, count in ((2, 10), (3, 4), (4, 3)):
+        for audit_class in ("2p", "schwarz"):
+            code, out, _ = run(capsys, "sample", "--d", str(d), "--count", str(count),
+                               "--seed", "5", "--class-check", audit_class)
+            audits = [
+                audit_rates(relaxation_rates(build_superoperator(random_ccp_spec(
+                    np.random.default_rng(np.random.SeedSequence([5, i])), d))),
+                    audit_class, d)
+                for i in range(count)
+            ]
+            passed = sum(a.satisfied for a in audits)
+            details = json.loads(out)["details"]
+            assert code == (EXIT_PASS if passed == count else EXIT_VIOLATION)
+            assert details["passed"] == passed and details["failed"] == count - passed
+            assert details["worst_margin"] == min(a.margin for a in audits)
+
+
+def test_sample_rejects_non_finite_generator(capsys, monkeypatch):
+    build = cli.gkls_matrices
+
+    def overflowing(h, ops, rates):
+        m = build(h, ops, rates)
+        m[-1, 0, 0] = np.inf
+        return m
+
+    monkeypatch.setattr(cli, "gkls_matrices", overflowing)
+    code, out, err = run(capsys, "sample", "--d", "2", "--count", "3",
+                         "--class-check", "cp")
+    with pytest.raises(ValueError) as single:
+        Superoperator(d=2, matrix=np.full((4, 4), np.inf))
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"rateaudit: error: numerical failure: {single.value}\n"
 
 
 def test_steady(capsys, fixtures, tmp_path):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,11 @@ from rateaudit.generator import (
     check_choi_trace_identity,
     choi,
     depolarizing_regulator,
+    gkls_matrices,
     integral_stationary,
     maximally_entangled_projector,
     pauli_spec,
+    rate_reports,
     regularize_faithful,
     relaxation_rates,
     stationary_states,
@@ -85,6 +89,31 @@ def test_build_matches_direct_evaluation():
                 e = np.zeros((d, d), dtype=complex)
                 e[i, j] = 1.0
                 assert np.linalg.norm(sup.apply(e) - apply_gkls(spec, e)) < bound, (d, i, j)
+
+
+def test_gkls_matrices_stack_matches_single_builds():
+    # every matrix of a stacked build is the one-spec build, byte for byte
+    rng = np.random.default_rng(8)
+    for d, n_jumps in ((2, 0), (2, 3), (3, 8), (4, 2), (5, 26)):
+        specs = [
+            GeneratorSpec(
+                hamiltonian=random_hermitian(rng, d),
+                jumps=tuple(
+                    (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rate)
+                    for rate in rng.uniform(-1, 2, n_jumps)
+                ),
+            )
+            for _ in range(6)
+        ]
+        h = np.stack([spec.hamiltonian for spec in specs])
+        ops = np.array([[op for op, _ in spec.jumps] for spec in specs],
+                       dtype=complex).reshape(6, n_jumps, d, d)
+        rates = np.array([[rate for _, rate in spec.jumps] for spec in specs])
+        rates = rates.reshape(6, n_jumps)
+        stack = gkls_matrices(h, ops, rates)
+        assert stack.shape == (6, d * d, d * d)
+        for m, spec in zip(stack, specs):
+            assert m.tobytes() == build_superoperator(spec).matrix.tobytes(), (d, n_jumps)
 
 
 def test_trace_and_hermiticity_preservation():
@@ -208,6 +237,35 @@ def test_relaxation_rates_requires_zero_mode():
     bad = Superoperator(d=2, matrix=np.eye(4, dtype=complex))
     with pytest.raises(RuntimeError):
         relaxation_rates(bad)
+
+
+def test_rate_reports_stack_matches_single_reports():
+    # CCP and signed-rate specs, a degenerate zero mode and a unitary one in
+    # one stack: each report equals the one-matrix report
+    rng = np.random.default_rng(12)
+    specs = [ccp_spec(seed, 2) for seed in range(4)]
+    specs += [pauli_spec(1.0, 1.0, -1.0), pauli_spec(2.0, 2.0, -1.0), dephasing_spec()]
+    specs += [GeneratorSpec(hamiltonian=random_hermitian(rng, 2), jumps=())]
+    specs += [
+        GeneratorSpec(
+            hamiltonian=random_hermitian(rng, 2),
+            jumps=tuple((rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)), rate)
+                        for rate in rng.uniform(-1, 1, 3)),
+        )
+        for _ in range(4)
+    ]
+    sups = [build_superoperator(spec) for spec in specs]
+    stack = np.stack([sup.matrix for sup in sups])
+    reports = rate_reports(stack)
+    assert reports == [relaxation_rates(sup) for sup in sups]
+    assert any(rr.unstable for rr in reports) and any(rr.rates[-1] == 0 for rr in reports)
+
+    # an item without a zero mode fails the stack with the one-matrix error
+    bad = np.concatenate([stack[:2], np.eye(4, dtype=complex)[None], stack[2:]])
+    with pytest.raises(RuntimeError) as single:
+        relaxation_rates(Superoperator(d=2, matrix=np.eye(4, dtype=complex)))
+    with pytest.raises(RuntimeError, match=re.escape(str(single.value))):
+        rate_reports(bad)
 
 
 def test_stationary_states_dephasing():

@@ -11,6 +11,7 @@ from rateaudit.matcore import (
     devectorize,
     eig_general,
     frac_power_psd,
+    is_hermitian,
     kron,
     numerical_kernel,
     psd_min_eig,
@@ -110,6 +111,22 @@ def test_eig_general_ordering_deterministic():
     vals = [v for v, _ in eig_general(np.diag([1.0, 1.0 + 1.0j, 1.0 - 1.0j, 2.0]))]
     assert vals[0] == 2.0
     assert vals[1].imag < vals[2].imag or vals[1].imag < vals[3].imag
+
+
+def test_is_hermitian_matrices_and_stacks():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    herm = 0.5 * (a + a.conj().swapaxes(1, 2))
+    near = herm + 1e-12 * a  # Hermitian within the default 1e-10, not exactly
+    assert all(is_hermitian(x) for x in herm) and is_hermitian(herm)
+    assert all(is_hermitian(x) for x in near) and is_hermitian(near)
+    assert not np.array_equal(near, near.conj().swapaxes(1, 2))
+    off = near.copy()
+    off[3] += 1e-6 * a[3]
+    assert not is_hermitian(off[3]) and not is_hermitian(off)
+    assert is_hermitian(off[3], ToleranceConfig(hermiticity_tol=1e-5))
+    with pytest.raises(ValueError):
+        is_hermitian(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
 def test_psd_min_eig_basic():
