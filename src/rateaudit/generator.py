@@ -283,13 +283,7 @@ def regularize_faithful(s: Superoperator, epsilon: float) -> Superoperator:
     )
 
 
-def integral_stationary(
-    s: Superoperator,
-    sigma,
-    T: float,
-    panels: int = 256,
-    tol: ToleranceConfig = DEFAULT_TOL,
-):
+def integral_stationary(s: Superoperator, sigma, T: float):
     """Time-average (1/T) int_0^T e^{t L}(sigma) dt by composite Simpson.
 
     sigma must be a fixed point of the time-T map.  The averaged state is a
@@ -300,8 +294,7 @@ def integral_stationary(
     v0 = vectorize(sigma)
     if np.linalg.norm(full @ v0 - v0) > 1e-8 * max(1.0, np.linalg.norm(v0)):
         raise ValueError("sigma is not a fixed point of the time-T map")
-    if panels % 2:
-        panels += 1
+    panels = 256  # even, as composite Simpson requires
     h = T / panels
     step = scipy.linalg.expm(h * s.matrix)
     acc = np.zeros_like(v0)

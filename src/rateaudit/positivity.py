@@ -326,6 +326,12 @@ def schwarz_defect(m: Superoperator, x) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def non_unital(m: Superoperator) -> bool:
+    """The unitality test of the Schwarz check: ||Phi(I) - I|| > 1e-8 max(1, ||Phi||)."""
+    eye = np.eye(m.d, dtype=complex)
+    return bool(np.linalg.norm(m.apply(eye) - eye) > 1e-8 * max(1.0, m.norm()))
+
+
 def check_map_class(
     m: Superoperator,
     map_class: str,
@@ -346,8 +352,7 @@ def check_map_class(
         k = 2 if map_class == "2p" else 1
         return _k_positivity_verdict(m, k, cfg, tol, orthogonal=False)
     if map_class == "schwarz":
-        eye = np.eye(m.d, dtype=complex)
-        if np.linalg.norm(m.apply(eye) - eye) > 1e-8 * max(1.0, m.norm()):
+        if non_unital(m):
             raise ValueError("Schwarz check requires a unital map")
         return _defect_verdict(m, 0.5 * m.matrix, schwarz_defect, cfg, tol)
     raise ValueError(f"unknown map class {map_class!r}")

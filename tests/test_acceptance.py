@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import ccp_spec, random_density
 from rateaudit.bounds import audit_rates, audit_steady_states, steady_state_bound
 from rateaudit.classical import (
     classical_generator,
@@ -48,7 +47,6 @@ from rateaudit.timedep import (
     builtin_tanh_example,
     divisibility_audit,
     propagator,
-    time_local_rates,
 )
 
 
@@ -275,7 +273,7 @@ def test_criterion_08_steady_state_bounds():
 def test_criterion_09_tanh_example():
     td = builtin_tanh_example(0.25)
     for t in np.linspace(0.05, 3.0, 20):
-        rr = relaxation_rates(build_superoperator(td.at(t)))
+        rr = relaxation_rates(td.at(t))
         expected = (2.0, 1.0 - 0.5 * np.tanh(t), 1.0 - 0.5 * np.tanh(t))
         assert np.allclose(rr.rates, expected, atol=1e-9)
 
@@ -309,7 +307,8 @@ def test_criterion_10_integrator_order():
         d = 2 + i % 2
         spec = seeded_spec(33, d, i)
         td_const = type(builtin_tanh_example(0.0))(
-            d=d, evaluator=lambda t, s=spec: s, t_start=0.0, t_end=5.0
+            build_superoperator(spec).matrix[None],
+            lambda t: np.ones((t.size, 1)), t_start=0.0, t_end=5.0,
         )
         exact = scipy.linalg.expm(1.7 * build_superoperator(spec).matrix)
         approx = propagator(td_const, 0.0, 1.7, steps=7).matrix
@@ -322,14 +321,13 @@ def test_criterion_10_integrator_order():
         d = 2 + i % 2
         base = seeded_spec(44, d, i)
 
-        def evaluator(t, b=base):
-            return GeneratorSpec(
-                hamiltonian=b.hamiltonian,
-                jumps=tuple((m, g * (1.0 + 0.5 * np.sin(t))) for m, g in b.jumps),
-            )
-
+        # the rates scaled by 1 + sin(t)/2: an H-only and a jumps-only term
+        terms = (GeneratorSpec(hamiltonian=base.hamiltonian, jumps=()),
+                 GeneratorSpec(hamiltonian=np.zeros((d, d)), jumps=base.jumps))
         td = type(builtin_tanh_example(0.0))(
-            d=d, evaluator=evaluator, t_start=0.0, t_end=5.0
+            np.array([build_superoperator(s).matrix for s in terms]),
+            lambda t: np.stack([np.ones_like(t), 1.0 + 0.5 * np.sin(t)], axis=-1),
+            t_start=0.0, t_end=5.0,
         )
         ref = propagator(td, 0.0, 2.0, steps=512).matrix
         err = [

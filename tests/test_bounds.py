@@ -156,7 +156,8 @@ def test_audit_steady_states_rejects_zero_generator():
 def _class_fixtures():
     ident = Superoperator(d=2, matrix=np.eye(4, dtype=complex))
     spec = ccp_spec(0, 2)
-    td = TimeDependentSpec(d=2, evaluator=lambda t: spec, t_start=0.0, t_end=1.0)
+    td = TimeDependentSpec(build_superoperator(spec).matrix[None],
+                           lambda t: np.ones((t.size, 1)), t_start=0.0, t_end=1.0)
     return ident, td, build_superoperator(spec), np.eye(2, dtype=complex)
 
 

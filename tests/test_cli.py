@@ -74,6 +74,11 @@ def test_load_spec_file_errors(tmp_path, fixtures):
     bad.write_text(json.dumps(doc))
     with pytest.raises(UsageError):
         load_spec_file(str(bad))
+    qutrit = dict(ZERO_SPEC, d=3, hamiltonian=[[[0.0, 0.0]] * 3] * 3)
+    bad.write_text(json.dumps({"kind": "time_dependent", "type": "piecewise",
+                               "times": [0.0, 1.0], "specs": [ZERO_SPEC, qutrit]}))
+    with pytest.raises(UsageError, match="share one dimension"):
+        load_spec_file(str(bad))  # pieces of different d
     kind, spec, digest = load_spec_file(str(fixtures / "pauli_111.json"))
     assert kind == "static" and spec.d == 2 and len(digest) == 64
 

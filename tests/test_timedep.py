@@ -3,7 +3,16 @@ import pytest
 import scipy.linalg
 
 from conftest import ccp_spec
-from rateaudit.generator import GeneratorSpec, Superoperator, build_superoperator
+from rateaudit.generator import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    SIGMA_Z,
+    GeneratorSpec,
+    Superoperator,
+    build_superoperator,
+    relaxation_rates,
+)
+from rateaudit.bounds import CLASSES, audit_rates
 from rateaudit.matcore import DEFAULT_TOL
 from rateaudit.positivity import NO_VIOLATION_FOUND, SamplerConfig
 from rateaudit.timedep import (
@@ -26,21 +35,23 @@ FAST = SamplerConfig(n_restarts=12, refine_steps=60)
 def constant_td(seed=0, d=2):
     spec = ccp_spec(seed, d)
     return (
-        TimeDependentSpec(d=d, evaluator=lambda t: spec, t_start=0.0, t_end=10.0),
+        TimeDependentSpec(build_superoperator(spec).matrix[None],
+                          lambda t: np.ones((t.size, 1)), t_start=0.0, t_end=10.0),
         spec,
     )
 
 
 def modulated_td(seed=0, d=2):
+    # the rates scaled by 1 + sin(t)/2: an H-only term and a jumps-only term
     base = ccp_spec(seed, d)
+    h_only = GeneratorSpec(hamiltonian=base.hamiltonian, jumps=())
+    jumps_only = GeneratorSpec(hamiltonian=np.zeros((d, d)), jumps=base.jumps)
+    generators = np.array([build_superoperator(s).matrix for s in (h_only, jumps_only)])
 
-    def evaluator(t):
-        return GeneratorSpec(
-            hamiltonian=base.hamiltonian,
-            jumps=tuple((m, g * (1.0 + 0.5 * np.sin(t))) for m, g in base.jumps),
-        )
+    def coefficients(t):
+        return np.stack([np.ones_like(t), 1.0 + 0.5 * np.sin(t)], axis=-1)
 
-    return TimeDependentSpec(d=d, evaluator=evaluator, t_start=0.0, t_end=10.0)
+    return TimeDependentSpec(generators, coefficients, t_start=0.0, t_end=10.0)
 
 
 def test_spec_domain_checks():
@@ -56,9 +67,11 @@ def test_builtin_tanh_rates():
     mu = 0.25
     td = builtin_tanh_example(mu)
     for t in (0.0, 0.4, 1.3, 3.0):
-        spec = td.at(t)
-        assert spec.jumps[0][1] == 1.0 and spec.jumps[1][1] == 1.0
-        assert spec.jumps[2][1] == pytest.approx(-mu * np.tanh(t), abs=1e-12)
+        explicit = GeneratorSpec(
+            hamiltonian=np.zeros((2, 2)),
+            jumps=((SIGMA_PLUS, 1.0), (SIGMA_MINUS, 1.0), (SIGMA_Z, -mu * np.tanh(t))),
+        )
+        assert np.abs(td.at(t).matrix - build_superoperator(explicit).matrix).max() <= 1e-12
     rr = time_local_rates(td, 0.0)
     assert np.allclose(sorted(rr.rates), [1.0, 1.0, 2.0], atol=1e-10)
 
@@ -80,8 +93,8 @@ def test_piecewise_spec():
     s0 = ccp_spec(0, 2)
     s1 = ccp_spec(1, 2)
     td = piecewise_spec([0.0, 1.0], [s0, s1])
-    assert td.at(0.5) is s0
-    assert td.at(1.5) is s1
+    assert td.at(0.5).matrix.tobytes() == build_superoperator(s0).matrix.tobytes()
+    assert td.at(1.5).matrix.tobytes() == build_superoperator(s1).matrix.tobytes()
     with pytest.raises(ValueError):
         piecewise_spec([1.0, 0.5], [s0, s1])
 
@@ -176,7 +189,8 @@ def test_divisibility_schwarz_amplitude_damping():
     # audit applies even though the Schroedinger maps are not unital
     sigma_minus = np.array([[0, 0], [1, 0]], dtype=complex)
     damp = GeneratorSpec(hamiltonian=np.zeros((2, 2)), jumps=((sigma_minus, 1.0),))
-    td = TimeDependentSpec(d=2, evaluator=lambda t: damp, t_start=0.0, t_end=5.0)
+    td = TimeDependentSpec(build_superoperator(damp).matrix[None],
+                           lambda t: np.ones((t.size, 1)), t_start=0.0, t_end=5.0)
     results, first = divisibility_audit(
         td, [0.0, 0.5, 1.0], "schwarz", FAST, steps_per_interval=20
     )
@@ -189,9 +203,10 @@ def test_interval_verdict_schwarz_not_applicable():
     # Schwarz verdict is marked inapplicable rather than evaluated
     from rateaudit.timedep import _interval_verdict
 
-    scaled = Superoperator(d=2, matrix=2.0 * np.eye(4, dtype=complex))
-    verdict = _interval_verdict(scaled, "schwarz", FAST, DEFAULT_TOL)
-    assert verdict.status == NOT_APPLICABLE
+    for factor in (2.0, 1.0 + 1e-7):
+        scaled = Superoperator(d=2, matrix=factor * np.eye(4, dtype=complex))
+        verdict = _interval_verdict(scaled, "schwarz", FAST, DEFAULT_TOL)
+        assert verdict.status == NOT_APPLICABLE
 
 
 def test_divisibility_unknown_class():
@@ -237,6 +252,63 @@ def test_trace_norm_increase_found_tanh():
 
 def test_tanh_mu_zero_is_constant():
     td = builtin_tanh_example(0.0)
-    s0 = build_superoperator(td.at(0.0))
-    s1 = build_superoperator(td.at(2.0))
+    s0 = td.at(0.0)
+    s1 = td.at(2.0)
     assert np.allclose(s0.matrix, s1.matrix)
+
+
+def per_step_propagator(spec_at, d, s, t, steps):
+    """Reference product: build each midpoint spec, take its expm, multiply."""
+    h = (t - s) / steps
+    m = np.eye(d * d, dtype=complex)
+    for i in range(steps):
+        gen = build_superoperator(spec_at(s + (i + 0.5) * h))
+        m = scipy.linalg.expm(h * gen.matrix) @ m
+    return m
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.25, 0.6])
+def test_tanh_propagator_matches_per_step_loop(mu):
+    def spec_at(t):
+        return GeneratorSpec(
+            hamiltonian=np.zeros((2, 2)),
+            jumps=((SIGMA_PLUS, 1.0), (SIGMA_MINUS, 1.0), (SIGMA_Z, -mu * np.tanh(t))),
+        )
+
+    td = builtin_tanh_example(mu)
+    for s, t, steps in ((0.0, 1.0, 200), (0.3, 2.1, 60), (1.7, 1.9, 25)):
+        ref = per_step_propagator(spec_at, 2, s, t, steps)
+        lam = propagator(td, s, t, steps).matrix
+        assert np.linalg.norm(lam - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_piecewise_propagator_matches_per_step_loop(d):
+    times = [0.0, 0.45, 1.1]
+    specs = [ccp_spec(10 + i, d) for i in range(3)]
+
+    def spec_at(t):
+        return specs[max(i for i, ti in enumerate(times) if t >= ti)]
+
+    td = piecewise_spec(times, specs)
+    for s, t, steps in ((0.0, 2.0, 100), (0.2, 1.7, 37), (0.5, 1.0, 9)):
+        ref = per_step_propagator(spec_at, d, s, t, steps)
+        assert propagator(td, s, t, steps).matrix.tobytes() == ref.tobytes()
+
+
+def test_time_local_bound_audit_matches_per_time_loop():
+    for td in (builtin_tanh_example(0.25), constant_td(4, 3)[0]):
+        times = np.linspace(0.0, 3.0, 13)
+        for cls in CLASSES:
+            expected = [audit_rates(relaxation_rates(td.at(t)), cls, td.d) for t in times]
+            assert time_local_bound_audit(td, times, cls) == expected
+
+
+def test_matrices_rejects_any_time_outside_domain():
+    td, spec = constant_td()
+    stack = td.matrices(np.array([0.0, 4.0, 10.0]))
+    assert stack.shape == (3, 4, 4)
+    assert np.array_equal(stack[1], build_superoperator(spec).matrix)
+    for times in ([0.5, -0.5], [3.0, 11.0], [1.0, np.nan, 2.0]):
+        with pytest.raises(ValueError):
+            td.matrices(np.array(times))
