@@ -1,6 +1,10 @@
 """Command-line front end: parse spec files, dispatch audits, emit
 deterministic machine-readable reports.
 
+Every report has the keys command, input_digest, seed, verdicts, rates,
+margins, details and elapsed_ms, in this order; seed is null for commands
+without --seed, and input_digest is "-" for sample.
+
 Exit codes: 0 pass, 1 violation, 2 inconclusive under --require-certified,
 3 input/usage error or numerical failure.
 """
@@ -158,28 +162,8 @@ def load_spec_file(path: str):
     return kind, spec, digest
 
 
-def _require_static(path: str) -> tuple[GeneratorSpec, str]:
-    kind, spec, digest = load_spec_file(path)
-    if kind != "static":
-        raise UsageError("this command requires a static spec")
-    return spec, digest
-
-
 # ---------------------------------------------------------------------------
 # report plumbing
-
-
-def _base_report(command: str, digest: str, seed) -> dict:
-    return {
-        "command": command,
-        "input_digest": digest,
-        "seed": seed,
-        "verdicts": [],
-        "rates": [],
-        "margins": [],
-        "details": {},
-        "elapsed_ms": None,
-    }
 
 
 def _verdict_dict(v) -> dict:
@@ -190,7 +174,7 @@ def _verdict_dict(v) -> dict:
 
 
 def _emit(report: dict, args, t0: float) -> None:
-    if getattr(args, "timing", False):
+    if args.timing:
         report["elapsed_ms"] = int(round((time.monotonic() - t0) * 1000))
     if args.format == "text":
         text = _text_summary(report)
@@ -218,65 +202,47 @@ def _text_summary(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tolerances(args) -> ToleranceConfig:
-    if args.tol is not None:
-        return ToleranceConfig(psd_tol=args.tol)
-    return ToleranceConfig()
-
-
 # ---------------------------------------------------------------------------
-# commands
+# commands: cmd_x(args, data, tol) -> (report fields, exit code), where data is
+# the built Superoperator of a static spec, the TimeDependentSpec for
+# divisibility and None for sample; `_run` does the shared work around them
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.monotonic()
-    spec, digest = _require_static(args.spec)
-    tol = _tolerances(args)
-    sup = build_superoperator(spec)
-    report_doc = _base_report("spectrum", digest, None)
+def cmd_spectrum(args, sup, tol):
     rr = relaxation_rates(sup, tol)
     trace = complex(np.trace(sup.matrix))
-    report_doc["rates"] = [float(g) for g in rr.rates]
-    report_doc["details"] = {
-        "eigenvalues": rr.eigenvalues,
-        "rate_sum": rr.rate_sum,
-        "trace_re": trace.real,
-        "sum_rule_residual": abs(rr.rate_sum + trace.real),
-        "unstable": rr.unstable,
-        "defective_zero": rr.defective_zero,
-    }
-    _emit(report_doc, args, t0)
-    return EXIT_PASS
+    return {
+        "rates": [float(g) for g in rr.rates],
+        "details": {
+            "eigenvalues": rr.eigenvalues,
+            "rate_sum": rr.rate_sum,
+            "trace_re": trace.real,
+            "sum_rule_residual": abs(rr.rate_sum + trace.real),
+            "unstable": rr.unstable,
+            "defective_zero": rr.defective_zero,
+        },
+    }, EXIT_PASS
 
 
-def cmd_audit(args) -> int:
-    t0 = time.monotonic()
-    spec, digest = _require_static(args.spec)
-    tol = _tolerances(args)
-    sup = build_superoperator(spec)
+def cmd_audit(args, sup, tol):
     rr = relaxation_rates(sup, tol)
-    audit = audit_rates(rr, args.audit_class, spec.d)
-    report_doc = _base_report("audit", digest, None)
-    report_doc["rates"] = [float(g) for g in rr.rates]
-    report_doc["margins"] = [audit.margin]
-    report_doc["details"] = {
-        "class": audit.audit_class,
-        "c_d": [audit.c_d.numerator, audit.c_d.denominator],
-        "gamma_max": audit.gamma_max,
-        "rate_sum": audit.rate_sum,
-        "bound": audit.bound,
-        "satisfied": audit.satisfied,
-        "saturated": audit.saturated,
-    }
-    _emit(report_doc, args, t0)
-    return EXIT_PASS if audit.satisfied else EXIT_VIOLATION
+    audit = audit_rates(rr, args.audit_class, sup.d)
+    return {
+        "rates": [float(g) for g in rr.rates],
+        "margins": [audit.margin],
+        "details": {
+            "class": audit.audit_class,
+            "c_d": [audit.c_d.numerator, audit.c_d.denominator],
+            "gamma_max": audit.gamma_max,
+            "rate_sum": audit.rate_sum,
+            "bound": audit.bound,
+            "satisfied": audit.satisfied,
+            "saturated": audit.saturated,
+        },
+    }, EXIT_PASS if audit.satisfied else EXIT_VIOLATION
 
 
-def cmd_check(args) -> int:
-    t0 = time.monotonic()
-    spec, digest = _require_static(args.spec)
-    tol = _tolerances(args)
-    sup = build_superoperator(spec)
+def cmd_check(args, sup, tol):
     cfg = SamplerConfig(n_restarts=args.samples, seed=args.seed)
     if args.ccp:
         verdict = check_ccp(sup, tol)
@@ -287,55 +253,49 @@ def cmd_check(args) -> int:
     else:  # --dissipative; argparse requires one of the three modes
         verdict = check_dissipativity(adjoint_superoperator(sup), cfg, tol)
         mode = "dissipative"
-    report_doc = _base_report("check", digest, args.seed)
-    report_doc["verdicts"] = [_verdict_dict(verdict)]
-    report_doc["margins"] = [float(verdict.margin)]
-    report_doc["details"] = {"mode": mode}
-    _emit(report_doc, args, t0)
+    fields = {
+        "verdicts": [_verdict_dict(verdict)],
+        "margins": [float(verdict.margin)],
+        "details": {"mode": mode},
+    }
     if verdict.status in (CERTIFIED_FAIL, VIOLATION_FOUND):
-        return EXIT_VIOLATION
+        return fields, EXIT_VIOLATION
     if verdict.status == NO_VIOLATION_FOUND and args.require_certified:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+        return fields, EXIT_INCONCLUSIVE
+    return fields, EXIT_PASS
 
 
-def cmd_divisibility(args) -> int:
-    t0 = time.monotonic()
-    kind, spec, digest = load_spec_file(args.spec)
-    if kind != "time_dependent":
-        raise UsageError("divisibility requires a time_dependent spec")
+def cmd_divisibility(args, spec, tol):
     if args.t1 <= args.t0:
         raise UsageError("--t1 must be greater than --t0")
     if args.t0 < spec.t_start or args.t1 > spec.t_end:
         raise UsageError(
             f"--t0 and --t1 must lie in the spec's domain [{spec.t_start}, {spec.t_end}]"
         )
-    tol = _tolerances(args)
     times = np.linspace(args.t0, args.t1, args.grid + 1)
     cfg = SamplerConfig(n_restarts=args.samples, seed=args.seed)
     results, first_violation = divisibility_audit(
         spec, times, args.audit_class, cfg, args.steps, tol
     )
-    report_doc = _base_report("divisibility", digest, args.seed)
-    report_doc["verdicts"] = [
-        dict(
-            interval=[float(a), float(b)],
-            **{
-                k: v
-                for k, v in _verdict_dict(verdict).items()
-                if k != "witness"  # interval witnesses are bulky; keep status+margin
-            },
-        )
-        for (a, b), verdict in results
-    ]
-    report_doc["margins"] = [float(v.margin) for _, v in results]
-    report_doc["details"] = {
-        "class": args.audit_class,
-        "divisible": first_violation is None,
-        "first_violating_interval": first_violation,
-    }
-    _emit(report_doc, args, t0)
-    return EXIT_PASS if first_violation is None else EXIT_VIOLATION
+    return {
+        "verdicts": [
+            dict(
+                interval=[float(a), float(b)],
+                **{
+                    k: v
+                    for k, v in _verdict_dict(verdict).items()
+                    if k != "witness"  # interval witnesses are bulky; keep status+margin
+                },
+            )
+            for (a, b), verdict in results
+        ],
+        "margins": [float(v.margin) for _, v in results],
+        "details": {
+            "class": args.audit_class,
+            "divisible": first_violation is None,
+            "first_violating_interval": first_violation,
+        },
+    }, EXIT_PASS if first_violation is None else EXIT_VIOLATION
 
 
 def _draw_ccp(rng, d: int):
@@ -363,9 +323,7 @@ def random_ccp_spec(rng, d: int) -> GeneratorSpec:
 SAMPLE_BLOCK_BYTES = 1 << 20
 
 
-def cmd_sample(args) -> int:
-    t0 = time.monotonic()
-    tol = _tolerances(args)
+def cmd_sample(args, _, tol):
     block = max(1, SAMPLE_BLOCK_BYTES // (16 * args.d**4))
     n_pass, worst = 0, np.inf
     for start in range(0, args.count, block):
@@ -379,45 +337,35 @@ def cmd_sample(args) -> int:
             audit = audit_rates(rr, args.class_check, args.d)
             n_pass += audit.satisfied
             worst = min(worst, audit.margin)
-    report_doc = _base_report("sample", "-", args.seed)
-    report_doc["margins"] = [worst]
-    report_doc["details"] = {
-        "d": args.d,
-        "count": args.count,
-        "class": args.class_check,
-        "passed": n_pass,
-        "failed": args.count - n_pass,
-        "worst_margin": worst,
-    }
-    _emit(report_doc, args, t0)
-    return EXIT_PASS if n_pass == args.count else EXIT_VIOLATION
+    return {
+        "margins": [worst],
+        "details": {
+            "d": args.d,
+            "count": args.count,
+            "class": args.class_check,
+            "passed": n_pass,
+            "failed": args.count - n_pass,
+            "worst_margin": worst,
+        },
+    }, EXIT_PASS if n_pass == args.count else EXIT_VIOLATION
 
 
-def cmd_steady(args) -> int:
-    t0 = time.monotonic()
-    spec, digest = _require_static(args.spec)
-    tol = _tolerances(args)
-    sup = build_superoperator(spec)
+def cmd_steady(args, sup, tol):
     try:
         m0, bound, within = audit_steady_states(sup, args.audit_class, tol)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    report_doc = _base_report("steady", digest, None)
-    report_doc["details"] = {
-        "m0": m0,
-        "bound": [bound.numerator, bound.denominator],
-        "bound_floor": int(bound.numerator // bound.denominator),
-        "within_bound": within,
-    }
-    _emit(report_doc, args, t0)
-    return EXIT_PASS if within else EXIT_VIOLATION
+    return {
+        "details": {
+            "m0": m0,
+            "bound": [bound.numerator, bound.denominator],
+            "bound_floor": int(bound.numerator // bound.denominator),
+            "within_bound": within,
+        },
+    }, EXIT_PASS if within else EXIT_VIOLATION
 
 
-def cmd_kms(args) -> int:
-    t0 = time.monotonic()
-    spec, digest = _require_static(args.spec)
-    tol = _tolerances(args)
-    sup = build_superoperator(spec)
+def cmd_kms(args, sup, tol):
     if args.epsilon > 0:
         sup = regularize_faithful(sup, args.epsilon)
     _, m0, faithful = stationary_states(sup, tol)
@@ -429,24 +377,55 @@ def cmd_kms(args) -> int:
     heis = adjoint_superoperator(sup)
     sharp = kms_adjoint(heis, w)
     sym = symmetrized_generator(heis, w)
-    eye = np.eye(spec.d, dtype=complex)
+    eye = np.eye(sup.d, dtype=complex)
     sym_eigs = np.linalg.eigvals(sym.matrix)
     lo, hi = bendixson_interval(heis.matrix)
-    report_doc = _base_report("kms", digest, None)
-    report_doc["details"] = {
-        "epsilon": args.epsilon,
-        "m0": m0,
-        "omega": faithful,
-        "sharp_unital_residual": float(np.linalg.norm(sharp.apply(eye))),
-        "symmetrized_spectrum_re": sorted(float(v.real) for v in sym_eigs),
-        "symmetrized_max_imag": float(np.max(np.abs(sym_eigs.imag))),
-        "trace_match_residual": float(
-            abs(np.trace(sym.matrix) - np.trace(sup.matrix))
-        ),
-        "bendixson_interval": [lo, hi],
+    return {
+        "details": {
+            "epsilon": args.epsilon,
+            "m0": m0,
+            "omega": faithful,
+            "sharp_unital_residual": float(np.linalg.norm(sharp.apply(eye))),
+            "symmetrized_spectrum_re": sorted(float(v.real) for v in sym_eigs),
+            "symmetrized_max_imag": float(np.max(np.abs(sym_eigs.imag))),
+            "trace_match_residual": float(
+                abs(np.trace(sym.matrix) - np.trace(sup.matrix))
+            ),
+            "bendixson_interval": [lo, hi],
+        },
+    }, EXIT_PASS
+
+
+def _run(args) -> int:
+    """Loads and kind-checks the spec, reads the tolerances, builds a static
+    generator, runs the command and emits its fields in the report envelope."""
+    t0 = time.monotonic()
+    data = None
+    digest = "-"
+    if args.spec_kind is not None:
+        kind, data, digest = load_spec_file(args.spec)
+        if kind != args.spec_kind:
+            who = "this command" if args.spec_kind == "static" else args.command
+            raise UsageError(f"{who} requires a {args.spec_kind} spec")
+    tol = ToleranceConfig()
+    if args.tol is not None:
+        tol = ToleranceConfig(psd_tol=args.tol)
+    if args.spec_kind == "static":
+        data = build_superoperator(data)
+    fields, code = args.run(args, data, tol)
+    report = {
+        "command": args.command,
+        "input_digest": digest,
+        "seed": getattr(args, "seed", None),
+        "verdicts": [],
+        "rates": [],
+        "margins": [],
+        "details": {},
+        "elapsed_ms": None,
     }
-    _emit(report_doc, args, t0)
-    return EXIT_PASS
+    report.update(fields)
+    _emit(report, args, t0)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -490,31 +469,32 @@ _finite = _checked_float(np.isfinite, "a finite number")
 _nonnegative = _checked_float(lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
 
 
-def _add_common(p):
+def _command(sub, name: str, help: str, run, spec_kind):
+    """Registers one command for `_run`: the spec positional when it reads a
+    spec file of kind `spec_kind`, the four common flags, and the defaults
+    `run` and `spec_kind`, which no flag sets."""
+    p = sub.add_parser(name, help=help)
+    if spec_kind is not None:
+        p.add_argument("spec")
     p.add_argument("--tol", type=_tolerance, default=None, help="override psd tolerance")
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to a file")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms")
+    p.set_defaults(run=run, spec_kind=spec_kind)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rateaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="eigenvalues and relaxation rates")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=cmd_spectrum)
+    _command(sub, "spectrum", "eigenvalues and relaxation rates", cmd_spectrum, "static")
 
-    p = sub.add_parser("audit", help="rate-constraint audit for a class")
-    p.add_argument("spec")
+    p = _command(sub, "audit", "rate-constraint audit for a class", cmd_audit, "static")
     p.add_argument("--class", dest="audit_class", required=True,
                    choices=CLASSES)
-    _add_common(p)
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("check", help="positivity checks of the generator")
-    p.add_argument("spec")
+    p = _command(sub, "check", "positivity checks of the generator", cmd_check, "static")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ccp", action="store_true")
     group.add_argument("--k", type=_positive_int, default=None)
@@ -522,11 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--require-certified", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("divisibility", help="per-interval divisibility audit")
-    p.add_argument("spec")
+    p = _command(sub, "divisibility", "per-interval divisibility audit", cmd_divisibility,
+                 "time_dependent")
     p.add_argument("--class", dest="audit_class", required=True,
                    choices=CLASSES)
     p.add_argument("--t0", type=_finite, default=0.0)
@@ -535,30 +513,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_positive_int, default=100)
     p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=_seed, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_divisibility)
 
-    p = sub.add_parser("sample", help="randomized audit harness")
+    p = _command(sub, "sample", "randomized audit harness", cmd_sample, None)
     p.add_argument("--d", type=_int_at_least(2, "an integer >= 2"), required=True)
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--class-check", dest="class_check", required=True,
                    choices=CLASSES)
-    _add_common(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("steady", help="steady-state count vs class bound")
-    p.add_argument("spec")
+    p = _command(sub, "steady", "steady-state count vs class bound", cmd_steady, "static")
     p.add_argument("--class", dest="audit_class", required=True,
                    choices=CLASSES)
-    _add_common(p)
-    p.set_defaults(func=cmd_steady)
 
-    p = sub.add_parser("kms", help="weighted-adjoint diagnostics")
-    p.add_argument("spec")
+    p = _command(sub, "kms", "weighted-adjoint diagnostics", cmd_kms, "static")
     p.add_argument("--epsilon", type=_nonnegative, default=0.0)
-    _add_common(p)
-    p.set_defaults(func=cmd_kms)
 
     return parser
 
@@ -570,7 +538,7 @@ def main(argv=None) -> int:
         # an overflow or a NaN raises FloatingPointError where it happens
         # instead of printing a warning and running on with inf or NaN
         with np.errstate(all="raise", under="ignore"):
-            return args.func(args)
+            return _run(args)
     except UsageError as exc:
         print(f"rateaudit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

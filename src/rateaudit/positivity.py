@@ -41,6 +41,7 @@ CERTIFIED_PASS = "certified_pass"
 CERTIFIED_FAIL = "certified_fail"
 NO_VIOLATION_FOUND = "no_violation_found"
 VIOLATION_FOUND = "violation_found"
+NOT_APPLICABLE = "not_applicable"
 
 
 @dataclass(frozen=True)
@@ -342,7 +343,8 @@ def check_map_class(
 
     'cp' is the exact Choi test; '2p' and 'positive' are sampled
     k-positivity with k = 2 and k = 1; 'schwarz' is the sampled Schwarz
-    check, which expects a unital map in the Heisenberg picture.
+    check of a map in the Heisenberg picture, `not_applicable` (margin NaN)
+    when that map is not unital.
     """
     if map_class == "cp":
         min_eig, is_psd, witness = psd_min_eig(choi(m).matrix, tol)
@@ -353,7 +355,7 @@ def check_map_class(
         return _k_positivity_verdict(m, k, cfg, tol, orthogonal=False)
     if map_class == "schwarz":
         if non_unital(m):
-            raise ValueError("Schwarz check requires a unital map")
+            return PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
         return _defect_verdict(m, 0.5 * m.matrix, schwarz_defect, cfg, tol)
     raise ValueError(f"unknown map class {map_class!r}")
 

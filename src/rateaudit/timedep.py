@@ -23,11 +23,10 @@ from .generator import (
     relaxation_rates,
 )
 from .positivity import (
-    PositivityVerdict,
+    NOT_APPLICABLE,  # re-exported: interval verdicts carry this status
     SamplerConfig,
     check_map_class,
     extended_superoperator,
-    non_unital,
 )
 from .bounds import CLASSES, AuditReport, audit_rates
 
@@ -144,15 +143,11 @@ def time_local_rates(
     return relaxation_rates(spec.at(t), tol)
 
 
-NOT_APPLICABLE = "not_applicable"
-
-
 def _interval_verdict(p: Superoperator, div_class: str, cfg: SamplerConfig, tol):
     if div_class == "schwarz":
-        # the Schwarz inequality is tested on the unital Heisenberg adjoint
+        # the Schwarz inequality is tested on the Heisenberg adjoint, which is
+        # unital when p preserves the trace
         p = adjoint_superoperator(p)
-        if non_unital(p):
-            return PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
     return check_map_class(p, div_class, cfg, tol)
 
 

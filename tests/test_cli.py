@@ -396,6 +396,53 @@ def test_input_digest_matches_file(capsys, fixtures):
     assert doc["input_digest"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+@pytest.mark.parametrize("command, fixture, message", [
+    (["spectrum"], "tanh_0.json", "this command requires a static spec"),
+    (["audit", "--class", "cp"], "tanh_0.json", "this command requires a static spec"),
+    (["check", "--ccp"], "tanh_0.json", "this command requires a static spec"),
+    (["steady", "--class", "cp"], "tanh_0.json", "this command requires a static spec"),
+    (["kms"], "tanh_0.json", "this command requires a static spec"),
+    (["divisibility", "--class", "cp", "--t1", "1.0"], "pauli_111.json",
+     "divisibility requires a time_dependent spec"),
+])
+def test_spec_kind_mismatch_is_usage_error(capsys, fixtures, command, fixture, message):
+    code, out, err = run(capsys, command[0], str(fixtures / fixture), *command[1:])
+    assert code == EXIT_USAGE and out == ""
+    assert err == f"rateaudit: error: {message}\n"
+
+
+ENVELOPE = ["command", "input_digest", "seed", "verdicts", "rates", "margins", "details",
+            "elapsed_ms"]
+
+
+@pytest.mark.parametrize("argv, fixture, seed", [
+    (["spectrum"], "pauli_111.json", None),
+    (["audit", "--class", "schwarz"], "pauli_22-1.json", None),
+    (["check", "--ccp", "--seed", "7"], "pauli_111.json", 7),
+    (["divisibility", "--class", "cp", "--t1", "1.0", "--grid", "2", "--steps", "5",
+      "--seed", "7"], "tanh_025.json", 7),
+    (["sample", "--d", "2", "--count", "3", "--class-check", "cp", "--seed", "7"], None, 7),
+    (["steady", "--class", "cp"], "dephasing.json", None),
+    (["kms"], "pauli_111.json", None),
+])
+def test_report_envelope(capsys, fixtures, argv, fixture, seed):
+    import hashlib
+
+    if fixture is None:
+        code, out, _ = run(capsys, *argv)
+        digest = "-"
+    else:
+        path = fixtures / fixture
+        code, out, _ = run(capsys, argv[0], str(path), *argv[1:])
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert code in (EXIT_PASS, EXIT_VIOLATION)
+    doc = json.loads(out)
+    assert list(doc) == ENVELOPE
+    assert doc["command"] == argv[0]
+    assert doc["input_digest"] == digest
+    assert doc["seed"] == seed
+
+
 # ---------------------------------------------------------------------------
 # fuzzing main: malformed documents, bad flag values and numerical failures of
 # huge magnitudes give exit 3 and one line, everything else a report

@@ -15,6 +15,7 @@ from rateaudit.positivity import (
     CERTIFIED_FAIL,
     CERTIFIED_PASS,
     NO_VIOLATION_FOUND,
+    NOT_APPLICABLE,
     VIOLATION_FOUND,
     PositivityVerdict,
     SamplerConfig,
@@ -240,6 +241,13 @@ def test_map_class_semigroup_hierarchy():
 def test_map_class_unknown():
     with pytest.raises(ValueError):
         check_map_class(Superoperator(d=2, matrix=np.eye(4, dtype=complex)), "bogus")
+
+
+def test_map_class_schwarz_not_applicable_to_non_unital_map():
+    doubled = Superoperator(d=2, matrix=2.0 * np.eye(4, dtype=complex))
+    verdict = check_map_class(doubled, "schwarz", cfg=FAST)
+    assert verdict.status == NOT_APPLICABLE
+    assert np.isnan(verdict.margin) and not verdict.violated
 
 
 def test_variance_contractivity_identity_and_depolarizing():

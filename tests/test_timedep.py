@@ -209,6 +209,24 @@ def test_interval_verdict_schwarz_not_applicable():
         assert verdict.status == NOT_APPLICABLE
 
 
+def test_schwarz_interval_tests_unitality_once(monkeypatch):
+    from rateaudit import positivity, timedep
+
+    real = positivity.non_unital
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(positivity, "non_unital", counted)
+    monkeypatch.setattr(timedep, "non_unital", counted, raising=False)
+    td, _ = constant_td()
+    results, _ = divisibility_audit(td, [0.0, 0.5], "schwarz", FAST, steps_per_interval=5)
+    assert len(results) == 1 and results[0][1].status != NOT_APPLICABLE
+    assert len(calls) == 1
+
+
 def test_divisibility_unknown_class():
     td, _ = constant_td()
     with pytest.raises(ValueError):
