@@ -1,0 +1,79 @@
+"""Run a fixed matrix of CLI calls against one checkout and write each report.
+
+Usage: python scripts/report_matrix.py ROOT OUTDIR
+
+Imports `rateaudit` from ROOT/src, runs every call of `MATRIX` in-process on
+the spec files in ROOT/fixtures, and writes one file per call to OUTDIR: its
+argv, exit code, stdout and stderr, with ROOT masked.  Two checkouts give the
+same reports, exit codes and error messages iff `diff -r` of their OUTDIRs is
+empty.
+"""
+from __future__ import annotations
+
+import contextlib
+import io
+import pathlib
+import sys
+
+STATIC = ("dephasing", "pauli_111", "pauli_111-1", "pauli_22-1")
+TANH = ("tanh_0", "tanh_025", "tanh_06")
+CLASSES = ("cp", "2p", "schwarz", "positive")
+CHECKS = (["--ccp"], ["--k", "1"], ["--k", "2"], ["--dissipative"],
+          ["--k", "2", "--require-certified"])
+WINDOWS = (["--t1", "1.0"], ["--t0", "1.0", "--t1", "2.5"])
+SAMPLE_COUNTS = {2: 40, 3: 40, 4: 20, 8: 4}  # small counts keep d = 8 quick
+
+
+def matrix(fixtures: str) -> list[list[str]]:
+    """The argv lists of the runs, on spec files in the directory `fixtures`."""
+    runs = []
+    for name in STATIC:
+        spec = f"{fixtures}/{name}.json"
+        runs.append(["spectrum", spec])
+        runs += [["audit", spec, "--class", c] for c in CLASSES]
+        runs += [["steady", spec, "--class", c] for c in CLASSES]
+        runs += [["check", spec] + flags for flags in CHECKS]
+        runs += [["kms", spec], ["kms", spec, "--epsilon", "0.1"]]
+    for name in TANH:
+        spec = f"{fixtures}/{name}.json"
+        runs += [["divisibility", spec, "--class", c, *window, "--grid", "3",
+                  "--steps", "20", "--samples", "8"]
+                 for c in CLASSES for window in WINDOWS]
+    for d, count in SAMPLE_COUNTS.items():
+        runs += [["sample", "--d", str(d), "--count", str(count), "--class-check", c]
+                 for c in CLASSES]
+    runs += [
+        ["spectrum", f"{fixtures}/missing.json"],
+        ["kms", f"{fixtures}/tanh_0.json"],
+        ["check", f"{fixtures}/pauli_111.json", "--k", "0"],
+        ["divisibility", f"{fixtures}/tanh_0.json", "--class", "cp", "--t1", "-1"],
+    ]
+    return runs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__, file=sys.stderr)
+        return 2
+    root = pathlib.Path(argv[0]).resolve()
+    out = pathlib.Path(argv[1])
+    sys.path.insert(0, str(root / "src"))
+    from rateaudit import cli
+
+    if not pathlib.Path(cli.__file__).resolve().is_relative_to(root / "src"):
+        raise SystemExit(f"rateaudit was imported from {cli.__file__}, not {root / 'src'}")
+    out.mkdir(parents=True, exist_ok=True)
+    runs = matrix(str(root / "fixtures"))
+    for i, run in enumerate(runs):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(run)
+        text = (f"argv: {' '.join(run)}\nexit: {code}\n--- stdout\n{stdout.getvalue()}"
+                f"--- stderr\n{stderr.getvalue()}")
+        (out / f"{i:03d}_{run[0]}.txt").write_text(text.replace(str(root), "ROOT"))
+    print(f"{len(runs)} runs written to {out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -231,39 +231,47 @@ def _hermitian_kernel_basis(basis: list, d: int) -> list:
     return out
 
 
-def stationary_states(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL):
-    """Kernel basis (as matrices), its dimension, and a faithful state if found.
-
-    The candidate is P0(I/d), where P0 = V (W^dag V)^{-1} W^dag is the spectral
-    projector onto ker L along the other spectral subspaces (V, W orthonormal
-    right and left kernels).  For a positive trace-preserving semigroup P0 is
-    the Cesaro mean of e^{tL}, so a faithful stationary state exists iff
-    P0(I/d) > 0 (M. M. Wolf, Quantum Channels & Operations, 2012).  faithful
-    is None when the kernels differ in dimension, W^dag V is singular (a
-    defective zero mode), the trace of P0(I/d) vanishes, or its least
-    eigenvalue does not exceed psd_tol.
-    """
-    if s.picture != SCHROEDINGER:
-        raise ValueError("stationary_states expects the Schroedinger picture")
+def _kernel_state(s: Superoperator, x: np.ndarray, tol: ToleranceConfig):
+    """Right kernel basis of s and P0 x as a unit-trace Hermitian matrix, where
+    P0 = V (W^dag V)^{-1} W^dag projects onto ker s along the other spectral
+    subspaces (V, W orthonormal right and left kernels).  The state is None when
+    P0 does not exist (trivial kernel, kernels of unequal dimension, or W^dag V
+    singular: a defective zero mode) or the trace of P0 x vanishes."""
     right, dim = numerical_kernel(s.matrix, tol)
     if dim == 0:
-        return [], 0, None
-    herms = _hermitian_kernel_basis(right, s.d)
+        return right, None
     left, left_dim = numerical_kernel(s.matrix.conj().T, tol)
     if left_dim != dim:
-        return herms, dim, None
+        return right, None
     v, w = np.column_stack(right), np.column_stack(left)
     overlap = w.conj().T @ v
     # V, W have orthonormal columns, so the singular values of W^dag V lie in [0, 1]
     if np.linalg.svd(overlap, compute_uv=False)[-1] <= tol.rank_tol:
-        return herms, dim, None
-    mixed = vectorize(np.eye(s.d) / s.d)
-    x = devectorize(v @ np.linalg.solve(overlap, w.conj().T @ mixed), s.d)
-    x = 0.5 * (x + x.conj().T)
-    trace = np.trace(x).real
-    if abs(trace) < 1e-10 or np.linalg.eigvalsh(x / trace)[0] <= tol.psd_tol:
-        return herms, dim, None
-    return herms, dim, x / trace
+        return right, None
+    y = devectorize(v @ np.linalg.solve(overlap, w.conj().T @ x), s.d)
+    y = 0.5 * (y + y.conj().T)
+    trace = np.trace(y).real
+    if abs(trace) < 1e-10:
+        return right, None
+    return right, y / trace
+
+
+def stationary_states(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL):
+    """Kernel basis (as matrices), its dimension, and a faithful state if found.
+
+    The candidate is P0(I/d) of `_kernel_state`.  For a positive
+    trace-preserving semigroup P0 is the Cesaro mean of e^{tL}, so a faithful
+    stationary state exists iff P0(I/d) > 0 (M. M. Wolf, Quantum Channels &
+    Operations, 2012).  faithful is None when `_kernel_state` finds no state
+    or its least eigenvalue does not exceed psd_tol.
+    """
+    if s.picture != SCHROEDINGER:
+        raise ValueError("stationary_states expects the Schroedinger picture")
+    right, x = _kernel_state(s, vectorize(np.eye(s.d) / s.d), tol)
+    herms = _hermitian_kernel_basis(right, s.d)
+    if x is None or np.linalg.eigvalsh(x)[0] <= tol.psd_tol:
+        return herms, len(right), None
+    return herms, len(right), x
 
 
 def depolarizing_regulator(d: int) -> Superoperator:
@@ -284,30 +292,21 @@ def regularize_faithful(s: Superoperator, epsilon: float) -> Superoperator:
 
 
 def integral_stationary(s: Superoperator, sigma, T: float):
-    """Time-average (1/T) int_0^T e^{t L}(sigma) dt by composite Simpson.
-
-    sigma must be a fixed point of the time-T map.  The averaged state is a
-    stationary state of L (checked a posteriori).
+    """Time average (1/T) int_0^T e^{t L}(sigma) dt of a fixed point sigma of
+    the time-T map, T finite and positive: P0(sigma) (`_kernel_state`),
+    since every other mode of sigma has e^{lambda T} = 1, lambda != 0, and
+    averages to zero.  ValueError when P0 does not exist.  The averaged state
+    is a stationary state of L (checked a posteriori).
     """
-    sigma = as_matrix(sigma)
+    if not (np.isfinite(T) and T > 0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     full = scipy.linalg.expm(T * s.matrix)
     v0 = vectorize(sigma)
     if np.linalg.norm(full @ v0 - v0) > 1e-8 * max(1.0, np.linalg.norm(v0)):
         raise ValueError("sigma is not a fixed point of the time-T map")
-    panels = 256  # even, as composite Simpson requires
-    h = T / panels
-    step = scipy.linalg.expm(h * s.matrix)
-    acc = np.zeros_like(v0)
-    v = v0.copy()
-    for k in range(panels + 1):
-        w = 1.0 if k in (0, panels) else (4.0 if k % 2 else 2.0)
-        acc = acc + w * v
-        if k < panels:
-            v = step @ v
-    avg = (h / 3.0) * acc / T
-    out = devectorize(avg, s.d)
-    out = 0.5 * (out + out.conj().T)
-    out /= np.trace(out).real
+    _, out = _kernel_state(s, v0, DEFAULT_TOL)
+    if out is None:
+        raise ValueError("the kernel projector P0 does not exist or P0(sigma) has zero trace")
     resid = np.linalg.norm(s.apply(out))
     if resid > 1e-6 * max(1.0, s.norm()):
         raise RuntimeError(f"time average failed to be stationary ({resid:.3e})")

@@ -3,7 +3,8 @@ k-positivity / dissipativity refutation, map-level CP / k-positive / Schwarz
 checks, and the closed-form qubit Pauli oracle.
 
 Sampled checks are one-sided: they can certify a violation (the witness is
-replayable) but never certify a pass.
+replayable) but never certify a pass.  The variance-contractivity check is
+exact: its gap is one Hermitian form, so one eigensolve certifies either way.
 
 All four sampled checks minimise one kind of objective, b^dag F(a) b over unit
 vectors a and b, where F(a) is Hermitian and, for fixed b, the value is a
@@ -232,13 +233,7 @@ def _matrix_unit_starts(d: int) -> list[np.ndarray]:
 
     The pairwise inequalities show the defect minimum of boundary generators is
     attained on matrix units, where random restarts converge slowly."""
-    starts = []
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            starts.append(e)
-    return starts
+    return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
 def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerConfig,
@@ -363,35 +358,31 @@ def check_map_class(
 def variance_contractivity_check(
     m_heis: Superoperator,
     omega,
-    n_samples: int = 500,
-    seed: int = 0,
     tol: ToleranceConfig = DEFAULT_TOL,
 ) -> PositivityVerdict:
-    """Sampled check of Var_w(Phi^dag(A)) <= Var_w(A) for random operators A."""
+    """Exact test of Var_w(Phi(A)) <= Var_w(A) for a state w invariant under Phi^*.
+
+    With a = vec(A), Var_w(A) = a^dag V a for V = w^T (x) I - vec(w) vec(w)^dag,
+    so the gap is the Hermitian form G = V - M^dag V M.  An invariant w and a
+    unital map give G vec(I) = 0; the margin is the least eigenvalue of G on
+    the traceless A, the witness a unit, traceless A.  A non-unital map is
+    `not_applicable` (margin NaN), as in `check_map_class(m_heis, "schwarz")`.
+    """
     omega = np.asarray(omega, dtype=complex)
-    vals = np.linalg.eigvalsh(0.5 * (omega + omega.conj().T))
-    if vals[0] <= tol.psd_tol:
+    omega = 0.5 * (omega + omega.conj().T)
+    if np.linalg.eigvalsh(omega)[0] <= tol.psd_tol:
         raise ValueError("omega must be full rank")
     schro = adjoint_superoperator(m_heis)
     if np.linalg.norm(schro.apply(omega) - omega) > 1e-8 * max(1.0, m_heis.norm()):
         raise ValueError("omega is not invariant under the Schroedinger map")
-
-    def variance(a):
-        return float(
-            (np.trace(omega @ a.conj().T @ a) - abs(np.trace(omega @ a)) ** 2).real
-        )
-
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xA7]))
-    worst = np.inf
-    worst_a = None
-    for _ in range(n_samples):
-        a = _random_matrix(rng, m_heis.d)
-        a /= np.linalg.norm(a)
-        gap = variance(a) - variance(m_heis.apply(a))
-        if gap < worst:
-            worst, worst_a = gap, a
-    status = VIOLATION_FOUND if worst < -tol.psd_tol else NO_VIOLATION_FOUND
-    return PositivityVerdict(
-        status=status, margin=worst, witness=worst_a,
-        samples_used=n_samples,
-    )
+    if non_unital(m_heis):
+        return PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
+    d, mat = m_heis.d, m_heis.matrix
+    w = vectorize(omega)
+    v = np.kron(omega.T, np.eye(d)) - np.outer(w, w.conj())
+    g = v - mat.conj().T @ v @ mat
+    g = 0.5 * (g + g.conj().T)
+    margin, a = _lowest(g, vectorize(np.eye(d)) / np.sqrt(d))
+    is_psd = margin >= -tol.psd_tol * max(1.0, np.linalg.norm(g, 2))
+    return PositivityVerdict(status=CERTIFIED_PASS if is_psd else CERTIFIED_FAIL,
+                             margin=margin, witness=devectorize(a, d))

@@ -123,8 +123,8 @@ def build_grid(
     spec: TimeDependentSpec, times, steps_per_interval: int = 200
 ) -> PropagatorGrid:
     times = [float(t) for t in times]
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError("grid times must be strictly increasing")
+    if len(times) < 2 or any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError("a grid needs at least two strictly increasing times")
     d = spec.d
     props = []
     cums = [Superoperator(d=d, matrix=np.eye(d * d, dtype=complex))]

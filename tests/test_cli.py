@@ -358,6 +358,22 @@ def test_kms_command(capsys, fixtures):
     assert json.loads(out)["details"]["m0"] == 1
 
 
+def test_kms_computes_the_kms_adjoint_once(capsys, fixtures, monkeypatch):
+    from rateaudit import kms
+
+    calls = []
+    original = kms._require_stationary
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(kms, "_require_stationary", counted)
+    code, _, _ = run(capsys, "kms", str(fixtures / "pauli_111.json"))
+    assert code == EXIT_PASS
+    assert len(calls) == 1
+
+
 def test_check_determinism_and_out_file(capsys, fixtures, tmp_path):
     out_path = tmp_path / "report.json"
     argv = [

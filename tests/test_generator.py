@@ -344,3 +344,30 @@ def test_integral_stationary():
     assert np.linalg.norm(out - sigma) < 1e-8
     with pytest.raises(ValueError):
         integral_stationary(sup, np.array([[0.6, 0.2], [0.2, 0.4]]), T=1.5)
+
+
+def test_integral_stationary_periodic_d3_is_diagonal_part():
+    # H = diag(0, 1, 3) 2 pi / T makes e^{T L} the identity: every sigma is a
+    # fixed point, and the period average keeps exactly its diagonal
+    T = 1.0
+    sup = build_superoperator(GeneratorSpec(np.diag([0.0, 1.0, 3.0]) * 2 * np.pi / T, ()))
+    sigma = np.array([[0.5, 0.1j, 0.05], [-0.1j, 0.3, 0.02], [0.05, 0.02, 0.2]])
+    out = integral_stationary(sup, sigma, T)
+    np.testing.assert_array_equal(out, np.diag(np.diag(sigma)))
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
+def test_integral_stationary_rejects_period(T):
+    sup = build_superoperator(pauli_spec(1, 1, 1))
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        integral_stationary(sup, np.eye(2) / 2, T)
+
+
+def test_integral_stationary_rejects_defective_zero_mode():
+    # M = |0><1| on vec space: e^{TM} fixes vec(|0><0|), but the zero mode is a
+    # Jordan block (W^dag V singular), so P0 does not exist
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = 1.0
+    sup = Superoperator(d=2, matrix=m)
+    with pytest.raises(ValueError, match="P0 does not exist"):
+        integral_stationary(sup, np.diag([1.0, 0.0]), 1.0)

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import ccp_spec
 from rateaudit.generator import (
+    SIGMA_Z,
     GeneratorSpec,
     Superoperator,
     adjoint_superoperator,
@@ -19,6 +22,8 @@ from rateaudit.positivity import (
     VIOLATION_FOUND,
     PositivityVerdict,
     SamplerConfig,
+    _matrix_unit_starts,
+    _vec,
     check_ccp,
     check_conditional_k_positivity,
     check_dissipativity,
@@ -252,8 +257,8 @@ def test_map_class_schwarz_not_applicable_to_non_unital_map():
 
 def test_variance_contractivity_identity_and_depolarizing():
     ident = Superoperator(d=2, matrix=np.eye(4, dtype=complex), picture="heisenberg")
-    verdict = variance_contractivity_check(ident, np.eye(2) / 2, n_samples=50)
-    assert verdict.status == NO_VIOLATION_FOUND
+    verdict = variance_contractivity_check(ident, np.eye(2) / 2)
+    assert verdict.status == CERTIFIED_PASS
     assert abs(verdict.margin) < 1e-10
 
     p = 0.3
@@ -269,7 +274,7 @@ def test_variance_contractivity_identity_and_depolarizing():
         return float((np.trace(omega @ x.conj().T @ x) - abs(np.trace(omega @ x)) ** 2).real)
 
     assert var(dep.apply(a)) / var(a) == pytest.approx((1 - p) ** 2, abs=1e-12)
-    assert variance_contractivity_check(dep, omega, n_samples=100).status == NO_VIOLATION_FOUND
+    assert variance_contractivity_check(dep, omega).status == CERTIFIED_PASS
 
 
 def test_variance_contractivity_schwarz_semigroup_member():
@@ -277,8 +282,66 @@ def test_variance_contractivity_schwarz_semigroup_member():
     member = Superoperator(
         d=2, matrix=scipy.linalg.expm(0.7 * heis.matrix), picture="heisenberg"
     )
-    verdict = variance_contractivity_check(member, np.eye(2) / 2, n_samples=500)
-    assert verdict.status == NO_VIOLATION_FOUND
+    verdict = variance_contractivity_check(member, np.eye(2) / 2)
+    assert verdict.status == CERTIFIED_PASS
+
+
+def test_variance_contractivity_pauli_grid_closed_form():
+    # e^{0.7 L} multiplies sigma_j by lam_j = exp(-0.7 (g1 + g2 + g3 - g_j)); with
+    # omega = I/2 a unit, traceless A has Var = 1/2, so the exact margin is
+    # (1 - max_j lam_j^2) / 2
+    omega = np.eye(2) / 2
+
+    def var(x):
+        return float((np.trace(omega @ x.conj().T @ x) - abs(np.trace(omega @ x)) ** 2).real)
+
+    statuses = set()
+    for g in itertools.product(np.linspace(-1.0, 1.5, 6), repeat=3):
+        heis = adjoint_superoperator(build_superoperator(pauli_spec(*g)))
+        member = Superoperator(
+            d=2, matrix=scipy.linalg.expm(0.7 * heis.matrix), picture="heisenberg"
+        )
+        verdict = variance_contractivity_check(member, omega)
+        exact = (1 - max(np.exp(-1.4 * (sum(g) - gj)) for gj in g)) / 2
+        assert abs(verdict.margin - exact) <= 1e-12 * max(1.0, abs(exact))
+        a = verdict.witness
+        assert abs(np.linalg.norm(a) - 1) < 1e-12 and abs(np.trace(a)) < 1e-12
+        replay = var(a) - var(member.apply(a))
+        assert abs(replay - verdict.margin) <= 1e-12 * max(1.0, abs(verdict.margin))
+        assert verdict.status == (CERTIFIED_FAIL if exact < 0 else CERTIFIED_PASS)
+        statuses.add(verdict.status)
+    assert statuses == {CERTIFIED_PASS, CERTIFIED_FAIL}
+
+
+def test_variance_contractivity_not_applicable_to_non_unital_map():
+    # Phi(Y) = Y + Tr(Y) sigma_z: its adjoint X -> X + Tr(sigma_z X) I fixes I/2,
+    # but Phi(I) = I + 2 sigma_z
+    m = map_from_action(2, lambda y: y + np.trace(y) * SIGMA_Z, picture="heisenberg")
+    omega = np.eye(2) / 2
+    assert np.allclose(adjoint_superoperator(m).apply(omega), omega)
+    verdict = variance_contractivity_check(m, omega)
+    assert verdict.status == NOT_APPLICABLE
+    assert np.isnan(verdict.margin) and not verdict.violated
+
+
+def _matrix_unit_loop(d):
+    # the double loop that `_matrix_unit_starts` replaced, kept as its reference
+    starts = []
+    for i in range(d):
+        for j in range(d):
+            e = np.zeros((d, d), dtype=complex)
+            e[i, j] = 1.0
+            starts.append(e)
+    return starts
+
+
+def test_matrix_unit_starts_match_loop():
+    for d in (1, 2, 3, 5):
+        new, old = _matrix_unit_starts(d), _matrix_unit_loop(d)
+        assert len(new) == len(old) == d * d
+        for a, b in zip(new, old):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert _vec(a).tobytes() == _vec(b).tobytes()
 
 
 def test_ccp_implies_conditional_k_positive():

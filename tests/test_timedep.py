@@ -330,3 +330,14 @@ def test_matrices_rejects_any_time_outside_domain():
     for times in ([0.5, -0.5], [3.0, 11.0], [1.0, np.nan, 2.0]):
         with pytest.raises(ValueError):
             td.matrices(np.array(times))
+
+
+@pytest.mark.parametrize("times", [[], [0.5]])
+def test_grid_needs_two_times(times):
+    td = builtin_tanh_example(0.25)
+    with pytest.raises(ValueError, match="at least two"):
+        build_grid(td, times)
+    with pytest.raises(ValueError, match="at least two"):
+        divisibility_audit(td, times, "cp", FAST, steps_per_interval=10)
+    with pytest.raises(ValueError, match="at least two"):
+        trace_norm_monotonicity_check(td, 2, times, steps_per_interval=10)
