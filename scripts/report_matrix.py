@@ -48,6 +48,13 @@ def matrix(fixtures: str) -> list[list[str]]:
         ["check", f"{fixtures}/pauli_111.json", "--k", "0"],
         ["divisibility", f"{fixtures}/tanh_0.json", "--class", "cp", "--t1", "-1"],
     ]
+    spec = f"{fixtures}/pauli_22-1.json"
+    text = [["spectrum", spec], ["audit", spec, "--class", "schwarz"], ["check", spec, "--ccp"],
+            ["steady", spec, "--class", "cp"], ["kms", spec],
+            ["divisibility", f"{fixtures}/tanh_025.json", "--class", "cp", *WINDOWS[0],
+             "--grid", "3", "--steps", "20", "--samples", "8"],
+            ["sample", "--d", "3", "--count", "40", "--class-check", "2p"]]
+    runs += [run + ["--format", "text"] for run in text]
     return runs
 
 

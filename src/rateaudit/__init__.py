@@ -5,7 +5,6 @@ from .generator import (
     GeneratorSpec,
     Superoperator,
     RateReport,
-    ChoiMatrix,
     build_superoperator,
     adjoint_superoperator,
     choi,

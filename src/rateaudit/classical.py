@@ -69,16 +69,13 @@ def classical_generator(s: Superoperator, basis) -> ClassicalGenerator:
     return ClassicalGenerator(d=s.d, matrix=k, basis=tuple(u.T))
 
 
-def check_stochastic_generator(
-    k: ClassicalGenerator, require_offdiag_nonneg: bool = False, tol: float = 1e-9
-):
-    """Column sums vanish always; off-diagonal nonnegativity only on request."""
+def check_stochastic_generator(k: ClassicalGenerator):
+    """Column sums vanish and off-diagonal entries are nonnegative, both to
+    1e-9 max(1, max |K_ij|).  Returns (both hold, columns ok, off-diagonal ok)."""
     m = k.matrix
-    col_ok = bool(np.max(np.abs(m.sum(axis=0))) <= tol * max(1.0, np.abs(m).max()))
-    off_ok = True
-    if require_offdiag_nonneg:
-        off = m - np.diag(np.diag(m))
-        off_ok = bool(off.min() >= -tol * max(1.0, np.abs(m).max()))
+    col_ok = bool(np.max(np.abs(m.sum(axis=0))) <= 1e-9 * max(1.0, np.abs(m).max()))
+    off = m - np.diag(np.diag(m))
+    off_ok = bool(off.min() >= -1e-9 * max(1.0, np.abs(m).max()))
     return col_ok and off_ok, col_ok, off_ok
 
 
@@ -140,24 +137,10 @@ def schwarz_pairwise_inequalities(s_heis: Superoperator, basis):
     return margins, all_ok
 
 
-def _deterministic_eigbasis(x: np.ndarray):
-    """Ascending-eigenvalue eigenbasis with first nonzero component made
-    real-positive, so repeated runs pick the same basis."""
-    vals, vecs = np.linalg.eigh(x)
-    cols = []
-    for i in range(vecs.shape[1]):
-        v = vecs[:, i].copy()
-        nz = np.argmax(np.abs(v) > 1e-12)
-        phase = v[nz] / abs(v[nz])
-        cols.append(v / phase)
-    return vals, cols
-
-
-def eigen_embedding(
-    s: Superoperator, lam: float, x_op, tol: float = 1e-8
-):
+def eigen_embedding(s: Superoperator, lam: float, x_op):
     """Check that a real eigenvalue of L appears in the classical generator
-    built in the eigenbasis of its Hermitian eigenvector.
+    built in the eigenbasis of its Hermitian eigenvector (K and x read only
+    the projectors |e_j><e_j|, so the phases of that basis do not matter).
 
     Returns (K, x, residual) with residual = ||K x - lam x||_inf.
     """
@@ -168,10 +151,10 @@ def eigen_embedding(
         cand2 = 1j * (x_op - x_op.conj().T)
         x_op = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
     resid = np.linalg.norm(s.apply(x_op) - lam * x_op)
-    if resid > tol * max(1.0, np.linalg.norm(x_op)) * max(1.0, s.norm()):
+    if resid > 1e-8 * max(1.0, np.linalg.norm(x_op)) * max(1.0, s.norm()):
         raise ValueError(f"x_op is not an eigenvector for lambda (residual {resid:.3e})")
-    vals, cols = _deterministic_eigbasis(x_op)
-    k = classical_generator(s, cols)
-    x = np.array([float((c.conj() @ x_op @ c).real) for c in cols])
+    u = np.linalg.eigh(x_op)[1]
+    k = classical_generator(s, u)
+    x = np.array([float((c.conj() @ x_op @ c).real) for c in u.T])
     kx = k.matrix @ x
     return k, x, float(np.max(np.abs(kx - lam * x)))

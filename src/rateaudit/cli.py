@@ -368,7 +368,7 @@ def cmd_steady(args, sup, tol):
 def cmd_kms(args, sup, tol):
     if args.epsilon > 0:
         sup = regularize_faithful(sup, args.epsilon)
-    _, m0, faithful = stationary_states(sup, tol)
+    m0, faithful = stationary_states(sup, tol)
     if faithful is None:
         raise UsageError(
             "no faithful stationary state found; retry with --epsilon > 0"
@@ -542,10 +542,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"rateaudit: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, ArithmeticError, AssertionError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, AssertionError, RuntimeError, MemoryError) as exc:
         # a check inside the library refused a non-finite or inaccurate result
         # (np.linalg.LinAlgError is a ValueError, FloatingPointError an
-        # ArithmeticError)
+        # ArithmeticError), or an array did not fit in memory
         print(f"rateaudit: error: numerical failure: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -89,12 +89,6 @@ class Superoperator:
 
 
 @dataclass(frozen=True)
-class ChoiMatrix:
-    d: int
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class RateReport:
     eigenvalues: tuple
     rates: tuple  # Gamma_ell, sorted descending
@@ -156,15 +150,16 @@ def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     return m.reshape(d, d, d, d).swapaxes(0, 3).reshape(d * d, d * d)
 
 
-def choi(s: Superoperator) -> ChoiMatrix:
+def choi(s: Superoperator) -> np.ndarray:
     """C = (id (x) Phi)(P+), P+ normalized to trace 1."""
-    return ChoiMatrix(d=s.d, matrix=_reshuffle(s.matrix, s.d) / s.d)
+    return _reshuffle(s.matrix, s.d) / s.d
 
 
-def superoperator_from_choi(c: ChoiMatrix, picture: str = SCHROEDINGER) -> Superoperator:
+def superoperator_from_choi(c: np.ndarray) -> Superoperator:
     """Inverse of the Choi reshuffle (round trip with choi up to the rounding
     of the 1/d scale)."""
-    return Superoperator(d=c.d, matrix=_reshuffle(c.d * c.matrix, c.d), picture=picture)
+    d = round(c.shape[0] ** 0.5)
+    return Superoperator(d=d, matrix=_reshuffle(d * c, d))
 
 
 def rate_reports(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[RateReport]:
@@ -211,53 +206,38 @@ def relaxation_rates(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Ra
     return rate_reports(s.matrix[None], tol)[0]
 
 
-def _hermitian_kernel_basis(basis: list, d: int) -> list:
-    """Hilbert-Schmidt orthonormal Hermitian basis of the span of the kernel
-    vectors `basis` (from `numerical_kernel`), as d x d matrices."""
-    herms = []
-    for v in basis:
-        m = devectorize(v, d)
-        herms.append(0.5 * (m + m.conj().T))
-        herms.append(0.5j * (m - m.conj().T))
-    out = []
-    for h in herms:
-        for prev in out:
-            h = h - np.trace(prev.conj().T @ h) * prev
-        nrm = np.linalg.norm(h)
-        if nrm > 1e-8:
-            out.append(h / nrm)
-        if len(out) == len(basis):
-            break
-    return out
+def _unit_trace(y: np.ndarray):
+    """The Hermitian part of y scaled to unit trace; None when that trace vanishes."""
+    y = 0.5 * (y + y.conj().T)
+    trace = np.trace(y).real
+    if abs(trace) < 1e-10:
+        return None
+    return y / trace
 
 
 def _kernel_state(s: Superoperator, x: np.ndarray, tol: ToleranceConfig):
-    """Right kernel basis of s and P0 x as a unit-trace Hermitian matrix, where
+    """Kernel dimension of s and P0 x as a unit-trace Hermitian matrix, where
     P0 = V (W^dag V)^{-1} W^dag projects onto ker s along the other spectral
     subspaces (V, W orthonormal right and left kernels).  The state is None when
     P0 does not exist (trivial kernel, kernels of unequal dimension, or W^dag V
     singular: a defective zero mode) or the trace of P0 x vanishes."""
     right, dim = numerical_kernel(s.matrix, tol)
     if dim == 0:
-        return right, None
+        return dim, None
     left, left_dim = numerical_kernel(s.matrix.conj().T, tol)
     if left_dim != dim:
-        return right, None
+        return dim, None
     v, w = np.column_stack(right), np.column_stack(left)
     overlap = w.conj().T @ v
     # V, W have orthonormal columns, so the singular values of W^dag V lie in [0, 1]
     if np.linalg.svd(overlap, compute_uv=False)[-1] <= tol.rank_tol:
-        return right, None
+        return dim, None
     y = devectorize(v @ np.linalg.solve(overlap, w.conj().T @ x), s.d)
-    y = 0.5 * (y + y.conj().T)
-    trace = np.trace(y).real
-    if abs(trace) < 1e-10:
-        return right, None
-    return right, y / trace
+    return dim, _unit_trace(y)
 
 
 def stationary_states(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL):
-    """Kernel basis (as matrices), its dimension, and a faithful state if found.
+    """Kernel dimension m0 and a faithful stationary state if found: (m0, faithful).
 
     The candidate is P0(I/d) of `_kernel_state`.  For a positive
     trace-preserving semigroup P0 is the Cesaro mean of e^{tL}, so a faithful
@@ -267,11 +247,10 @@ def stationary_states(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL):
     """
     if s.picture != SCHROEDINGER:
         raise ValueError("stationary_states expects the Schroedinger picture")
-    right, x = _kernel_state(s, vectorize(np.eye(s.d) / s.d), tol)
-    herms = _hermitian_kernel_basis(right, s.d)
+    m0, x = _kernel_state(s, vectorize(np.eye(s.d) / s.d), tol)
     if x is None or np.linalg.eigvalsh(x)[0] <= tol.psd_tol:
-        return herms, len(right), None
-    return herms, len(right), x
+        return m0, None
+    return m0, x
 
 
 def depolarizing_regulator(d: int) -> Superoperator:
@@ -293,10 +272,11 @@ def regularize_faithful(s: Superoperator, epsilon: float) -> Superoperator:
 
 def integral_stationary(s: Superoperator, sigma, T: float):
     """Time average (1/T) int_0^T e^{t L}(sigma) dt of a fixed point sigma of
-    the time-T map, T finite and positive: P0(sigma) (`_kernel_state`),
-    since every other mode of sigma has e^{lambda T} = 1, lambda != 0, and
-    averages to zero.  ValueError when P0 does not exist.  The averaged state
-    is a stationary state of L (checked a posteriori).
+    the time-T map, T finite and positive: sigma itself when L(sigma) = 0,
+    else P0(sigma) (`_kernel_state`), since every other mode of sigma has
+    e^{lambda T} = 1, lambda != 0, and averages to zero.  ValueError when P0
+    is needed and does not exist.  The averaged state is a stationary state of
+    L (checked a posteriori), as a unit-trace Hermitian matrix.
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
@@ -304,16 +284,21 @@ def integral_stationary(s: Superoperator, sigma, T: float):
     v0 = vectorize(sigma)
     if np.linalg.norm(full @ v0 - v0) > 1e-8 * max(1.0, np.linalg.norm(v0)):
         raise ValueError("sigma is not a fixed point of the time-T map")
+    stationary_tol = 1e-6 * max(1.0, s.norm())
+    # a sigma inside ker L is its own average, even where P0 does not exist
+    out = _unit_trace(as_matrix(sigma))
+    if out is not None and np.linalg.norm(s.apply(out)) <= stationary_tol:
+        return out
     _, out = _kernel_state(s, v0, DEFAULT_TOL)
     if out is None:
         raise ValueError("the kernel projector P0 does not exist or P0(sigma) has zero trace")
     resid = np.linalg.norm(s.apply(out))
-    if resid > 1e-6 * max(1.0, s.norm()):
+    if resid > stationary_tol:
         raise RuntimeError(f"time average failed to be stationary ({resid:.3e})")
     return out
 
 
 def check_choi_trace_identity(s: Superoperator) -> float:
     """|d^2 <psi+|C|psi+> - Tr S| for the Choi matrix of s."""
-    lhs = s.d**2 * np.trace(maximally_entangled_projector(s.d) @ choi(s).matrix)
+    lhs = s.d**2 * np.trace(maximally_entangled_projector(s.d) @ choi(s))
     return abs(lhs - np.trace(s.matrix))

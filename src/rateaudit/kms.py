@@ -38,7 +38,6 @@ class WeightedInnerProduct:
         self.tol = tol
         self.w_s = frac_power_psd(omega, self.s, tol)
         self.w_1ms = frac_power_psd(omega, 1.0 - self.s, tol)
-        self.sqrt = frac_power_psd(omega, 0.5, tol)
         self.isqrt = frac_power_psd(omega, -0.5, tol)
 
     @property
@@ -78,7 +77,7 @@ def kms_adjoint(s_heis: Superoperator, w: WeightedInnerProduct) -> Superoperator
     if w.s != 0.5:
         raise ValueError("KMS adjoint requires the s = 1/2 inner product")
     schro = _require_stationary(s_heis, w)
-    v = _sandwich_superoperator(w.sqrt)
+    v = _sandwich_superoperator(w.w_s)  # w^{1/2}: s = 1/2
     vinv = _sandwich_superoperator(w.isqrt)
     sharp = vinv @ schro.matrix @ v
     return Superoperator(d=s_heis.d, matrix=sharp, picture=HEISENBERG)

@@ -52,13 +52,12 @@ def vectorize(m) -> np.ndarray:
     return as_matrix(m).reshape(-1, order="F")
 
 
-def devectorize(v, rows: int, cols: int | None = None) -> np.ndarray:
+def devectorize(v, d: int) -> np.ndarray:
+    """Inverse of `vectorize` for a d x d matrix."""
     v = np.asarray(v, dtype=complex).reshape(-1)
-    if cols is None:
-        cols = rows
-    if rows * cols != v.size:
-        raise ValueError(f"cannot reshape length-{v.size} vector to {rows}x{cols}")
-    return v.reshape((rows, cols), order="F")
+    if d * d != v.size:
+        raise ValueError(f"cannot reshape length-{v.size} vector to {d}x{d}")
+    return v.reshape((d, d), order="F")
 
 
 def spectral_norm(m) -> float:

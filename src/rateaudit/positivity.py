@@ -91,7 +91,7 @@ def check_ccp(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Positivit
     if s.picture != SCHROEDINGER:
         raise ValueError("check_ccp expects the Schroedinger picture")
     d = s.d
-    c = s.d**2 * choi(s).matrix
+    c = s.d**2 * choi(s)
     q = np.eye(d * d, dtype=complex) - maximally_entangled_projector(d)
     projected = q @ c @ q
     min_eig, is_psd, witness = psd_min_eig(projected, tol)
@@ -342,7 +342,7 @@ def check_map_class(
     when that map is not unital.
     """
     if map_class == "cp":
-        min_eig, is_psd, witness = psd_min_eig(choi(m).matrix, tol)
+        min_eig, is_psd, witness = psd_min_eig(choi(m), tol)
         status = CERTIFIED_PASS if is_psd else CERTIFIED_FAIL
         return PositivityVerdict(status=status, margin=min_eig, witness=witness)
     if map_class in ("2p", "positive"):

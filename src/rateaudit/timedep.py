@@ -15,12 +15,10 @@ from .generator import (
     SIGMA_PLUS,
     SIGMA_Z,
     GeneratorSpec,
-    RateReport,
     Superoperator,
     adjoint_superoperator,
     build_superoperator,
     rate_reports,
-    relaxation_rates,
 )
 from .positivity import (
     NOT_APPLICABLE,  # re-exported: interval verdicts carry this status
@@ -137,12 +135,6 @@ def build_grid(
     )
 
 
-def time_local_rates(
-    spec: TimeDependentSpec, t: float, tol: ToleranceConfig = DEFAULT_TOL
-) -> RateReport:
-    return relaxation_rates(spec.at(t), tol)
-
-
 def _interval_verdict(p: Superoperator, div_class: str, cfg: SamplerConfig, tol):
     if div_class == "schwarz":
         # the Schwarz inequality is tested on the Heisenberg adjoint, which is
@@ -214,7 +206,6 @@ def trace_norm_monotonicity_check(
     k: int,
     grid_times,
     n_probe_operators: int = 50,
-    seed: int = 0,
     steps_per_interval: int = 200,
 ):
     """Scan ||(id_k (x) Lambda_{t,0})(X)||_1 along the grid for increases.
@@ -224,6 +215,7 @@ def trace_norm_monotonicity_check(
     (id_k (x) Lambda_{t_i,0}^{-1})(P+).  The latter are adversarial: whenever
     the interval propagator after t_i is non-CP they turn its Choi negativity
     directly into a trace-norm increase, which random probes almost never hit.
+    The random probes are drawn from the fixed seed SeedSequence([0, 0x7E]).
     Returns (increase_found, witness) with witness = (X, interval, delta) for
     the largest recorded increase.
     """
@@ -254,7 +246,7 @@ def trace_norm_monotonicity_check(
             x = extended_images(inv, [p_ent])[0]
             probes.append(0.5 * (x + x.conj().T))
 
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7E]))
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0x7E]))
     while len(probes) < n_probe_operators:
         if len(probes) % 2 == 0:
             probes.append(_random_projector_difference(rng, n))
@@ -265,12 +257,11 @@ def trace_norm_monotonicity_check(
     norms = np.array([trace_norms(probes)] + [
         trace_norms(extended_images(cum, probes)) for cum in grid.cumulative[1:]
     ])
-    best = None
-    found = False
-    for p, x in enumerate(probes):
-        for i, delta in enumerate(np.diff(norms[:, p])):
-            if delta > 1e-7 * norms[0, p]:
-                found = True
-                if best is None or delta > best[2]:
-                    best = (x, (grid.times[i], grid.times[i + 1]), float(delta))
-    return found, best
+    deltas = np.diff(norms, axis=0)
+    mask = deltas > 1e-7 * norms[0]
+    if not mask.any():
+        return False, None
+    # the first largest increase in probe-major order
+    increases = np.where(mask, deltas, -np.inf).T
+    p, i = np.unravel_index(np.argmax(increases), increases.shape)
+    return True, (probes[p], (grid.times[i], grid.times[i + 1]), float(deltas[i, p]))

@@ -140,7 +140,7 @@ def test_criterion_03_rate_bound_sampling_and_chain():
             sup = regularize_faithful(
                 build_superoperator(seeded_spec(88, d, idx)), 0.05
             )
-            _, _, omega = stationary_states(sup)
+            _, omega = stationary_states(sup)
             sym = symmetrized_generator(
                 adjoint_superoperator(sup), WeightedInnerProduct(omega)
             )
@@ -181,7 +181,7 @@ def test_criterion_05_kms_machinery():
             sup = regularize_faithful(
                 build_superoperator(seeded_spec(55, d, idx)), 0.05
             )
-            _, _, omega = stationary_states(sup)
+            _, omega = stationary_states(sup)
             heis = adjoint_superoperator(sup)
             w = WeightedInnerProduct(omega)
             sharp = kms_adjoint(heis, w)
@@ -210,7 +210,7 @@ def test_criterion_06_classical_embedding():
             sup = regularize_faithful(
                 build_superoperator(seeded_spec(66, d, idx)), 0.05
             )
-            _, _, omega = stationary_states(sup)
+            _, omega = stationary_states(sup)
             sym = symmetrized_generator(
                 adjoint_superoperator(sup), WeightedInnerProduct(omega)
             )
@@ -292,11 +292,11 @@ def test_criterion_09_tanh_example():
     assert first is None
 
     cumulative = propagator(td, 0.0, 3.0, steps=3000)
-    assert np.linalg.eigvalsh(choi(cumulative).matrix)[0] >= -1e-6
+    assert np.linalg.eigvalsh(choi(cumulative))[0] >= -1e-6
 
     td6 = builtin_tanh_example(0.6)
     g = build_grid(td6, np.linspace(0.0, 5.0, 26), steps_per_interval=120)
-    worst = min(np.linalg.eigvalsh(choi(c).matrix)[0] for c in g.cumulative)
+    worst = min(np.linalg.eigvalsh(choi(c))[0] for c in g.cumulative)
     assert worst < -1e-4
 
 

@@ -21,7 +21,9 @@ from rateaudit.generator import (
     regularize_faithful,
     stationary_states,
 )
+from rateaudit.cli import random_ccp_spec
 from rateaudit.kms import WeightedInnerProduct, symmetrized_generator
+from rateaudit.matcore import devectorize
 
 COMP2 = np.eye(2, dtype=complex)
 
@@ -80,12 +82,12 @@ def test_column_sums_vanish_random_bases():
 
 def test_check_stochastic_generator():
     k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]), basis=())
-    ok, col_ok, off_ok = check_stochastic_generator(k, require_offdiag_nonneg=True)
+    ok, col_ok, off_ok = check_stochastic_generator(k)
     assert ok and col_ok and off_ok
     k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, 2.0], [1.0, -2.0]]), basis=())
-    assert check_stochastic_generator(k, require_offdiag_nonneg=True)[0]
+    assert check_stochastic_generator(k)[0]
     k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, -0.5], [1.0, 0.5]]), basis=())
-    ok, col_ok, off_ok = check_stochastic_generator(k, require_offdiag_nonneg=True)
+    ok, col_ok, off_ok = check_stochastic_generator(k)
     assert col_ok and not off_ok and not ok
 
 
@@ -94,7 +96,7 @@ def test_stochastic_from_ccp_random_bases():
     sup = build_superoperator(ccp_spec(0, 3))
     for _ in range(20):
         k = classical_generator(sup, random_basis(rng, 3))
-        ok, _, _ = check_stochastic_generator(k, require_offdiag_nonneg=True)
+        ok, _, _ = check_stochastic_generator(k)
         assert ok
 
 
@@ -268,7 +270,7 @@ def test_eigen_embedding_rejects_non_eigenvector():
 def test_eigen_embedding_symmetrized_pipeline():
     rng = np.random.default_rng(5)
     sup = regularize_faithful(build_superoperator(ccp_spec(7, 2)), 0.05)
-    _, _, omega = stationary_states(sup)
+    _, omega = stationary_states(sup)
     sym = symmetrized_generator(
         adjoint_superoperator(sup), WeightedInnerProduct(omega)
     )
@@ -281,3 +283,50 @@ def test_eigen_embedding_symmetrized_pipeline():
         x_op = devectorize(vecs[:, i], 2)
         _, _, resid = eigen_embedding(schro_sym, lam, x_op)
         assert resid < 1e-7
+
+
+def deterministic_eigbasis(x):
+    """Reference basis: ascending-eigenvalue eigenvectors, each with its first
+    nonzero component made real-positive."""
+    vals, vecs = np.linalg.eigh(x)
+    cols = []
+    for i in range(vecs.shape[1]):
+        v = vecs[:, i].copy()
+        nz = np.argmax(np.abs(v) > 1e-12)
+        phase = v[nz] / abs(v[nz])
+        cols.append(v / phase)
+    return vals, cols
+
+
+def phase_fixed_embedding(s, lam, x_op):
+    """eigen_embedding built in the phase-fixed reference basis."""
+    x_op = np.asarray(x_op, dtype=complex)
+    if np.linalg.norm(x_op - x_op.conj().T) > 1e-8 * max(1.0, np.linalg.norm(x_op)):
+        cand1 = x_op + x_op.conj().T
+        cand2 = 1j * (x_op - x_op.conj().T)
+        x_op = cand1 if np.linalg.norm(cand1) >= np.linalg.norm(cand2) else cand2
+    _, cols = deterministic_eigbasis(x_op)
+    k = classical_generator(s, cols)
+    x = np.array([float((c.conj() @ x_op @ c).real) for c in cols])
+    return k, x, float(np.max(np.abs(k.matrix @ x - lam * x)))
+
+
+def test_eigen_embedding_matches_phase_fixed_basis():
+    # K and x depend on the projectors |e_j><e_j| only, not on the phases
+    for idx in range(10):
+        for d in (2, 3):
+            rng = np.random.default_rng(np.random.SeedSequence([66, d, idx]))
+            sup = regularize_faithful(build_superoperator(random_ccp_spec(rng, d)), 0.05)
+            _, omega = stationary_states(sup)
+            sym = symmetrized_generator(adjoint_superoperator(sup), WeightedInnerProduct(omega))
+            schro_sym = Superoperator(d=d, matrix=sym.matrix.conj().T)
+            vals, vecs = np.linalg.eig(schro_sym.matrix)
+            for i in range(len(vals)):
+                lam = float(vals[i].real)
+                x_op = devectorize(vecs[:, i], d)
+                k, x, resid = eigen_embedding(schro_sym, lam, x_op)
+                want_k, want_x, want_resid = phase_fixed_embedding(schro_sym, lam, x_op)
+                scale = 1e-12 * max(1.0, np.max(np.abs(want_x)))
+                assert np.max(np.abs(k.matrix - want_k.matrix)) <= scale
+                assert np.max(np.abs(x - want_x)) <= scale
+                assert abs(resid - want_resid) <= scale

@@ -306,6 +306,18 @@ def test_sample_rejects_non_finite_generator(capsys, monkeypatch):
     assert err == f"rateaudit: error: numerical failure: {single.value}\n"
 
 
+def test_out_of_memory_is_a_numerical_failure(capsys, fixtures, monkeypatch):
+    # exit 1 means "violation found", so an allocation that does not fit must
+    # give exit 3 and one stderr line, never a traceback
+    def too_large(args, sup, tol):
+        raise MemoryError("Unable to allocate 410. GiB for an array")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", too_large)
+    code, out, err = run(capsys, "spectrum", str(fixtures / "pauli_111.json"))
+    assert code == EXIT_USAGE and out == ""
+    assert err == "rateaudit: error: numerical failure: Unable to allocate 410. GiB for an array\n"
+
+
 def test_steady(capsys, fixtures, tmp_path):
     code, out, _ = run(capsys, "steady", str(fixtures / "dephasing.json"), "--class", "cp")
     assert code == EXIT_PASS

@@ -24,7 +24,7 @@ from rateaudit.generator import (
     stationary_states,
     superoperator_from_choi,
 )
-from rateaudit.matcore import vectorize
+from rateaudit.matcore import devectorize, vectorize
 
 
 def dephasing_spec():
@@ -155,7 +155,7 @@ def test_double_adjoint_identity():
 
 def test_choi_identity_map():
     ident = Superoperator(d=2, matrix=np.eye(4, dtype=complex))
-    assert np.allclose(choi(ident).matrix, maximally_entangled_projector(2))
+    assert np.allclose(choi(ident), maximally_entangled_projector(2))
 
 
 def test_choi_trace_identity():
@@ -166,7 +166,7 @@ def test_choi_trace_identity():
 
 def test_choi_pauli_negative_eigenvalue():
     sup = build_superoperator(pauli_spec(1.0, 1.0, -1.0))
-    assert np.linalg.eigvalsh(choi(sup).matrix)[0] < -1e-6
+    assert np.linalg.eigvalsh(choi(sup))[0] < -1e-6
 
 
 def test_choi_blocks_are_images_of_matrix_units():
@@ -175,7 +175,7 @@ def test_choi_blocks_are_images_of_matrix_units():
     for d in (2, 3, 4):
         m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         sup = Superoperator(d=d, matrix=m)
-        c = choi(sup).matrix
+        c = choi(sup)
         for i in range(d):
             for j in range(d):
                 e = np.zeros((d, d), dtype=complex)
@@ -269,7 +269,7 @@ def test_rate_reports_stack_matches_single_reports():
 
 
 def test_stationary_states_dephasing():
-    basis, m0, faithful = stationary_states(build_superoperator(dephasing_spec()))
+    m0, faithful = stationary_states(build_superoperator(dephasing_spec()))
     assert m0 == 2
     assert faithful is not None
     # the kernel projector maps I/2 to itself
@@ -277,10 +277,10 @@ def test_stationary_states_dephasing():
 
 
 def test_stationary_states_unique_and_trivial():
-    _, m0, faithful = stationary_states(build_superoperator(pauli_spec(1, 1, 1)))
+    m0, faithful = stationary_states(build_superoperator(pauli_spec(1, 1, 1)))
     assert m0 == 1 and np.linalg.norm(faithful - np.eye(2) / 2) < 1e-8
     zero = Superoperator(d=2, matrix=np.zeros((4, 4), dtype=complex))
-    _, m0, _ = stationary_states(zero)
+    m0, _ = stationary_states(zero)
     assert m0 == 4
 
 
@@ -289,7 +289,7 @@ def test_stationary_states_exact_on_degenerate_kernels():
     w = np.exp(2j * np.pi / 3)
     clock = GeneratorSpec(hamiltonian=np.zeros((3, 3)), jumps=((np.diag([1, w, w * w]), 1.0),))
     for spec in (clock, dephasing_spec()):
-        _, m0, faithful = stationary_states(build_superoperator(spec))
+        m0, faithful = stationary_states(build_superoperator(spec))
         assert m0 == spec.d
         assert np.linalg.norm(faithful - np.eye(spec.d) / spec.d) < 1e-12
 
@@ -300,9 +300,9 @@ def test_defective_zero_has_no_faithful_state():
     m = np.outer(vectorize(SIGMA_Z), vectorize(SIGMA_X).conj())
     nilpotent = Superoperator(d=2, matrix=m)
     assert relaxation_rates(nilpotent).defective_zero
-    _, m0, faithful = stationary_states(nilpotent)
+    m0, faithful = stationary_states(nilpotent)
     assert m0 == 3 and faithful is None
-    _, m0, faithful = stationary_states(regularize_faithful(nilpotent, 0.1))
+    m0, faithful = stationary_states(regularize_faithful(nilpotent, 0.1))
     assert m0 == 1 and np.linalg.norm(faithful - np.eye(2) / 2) < 1e-12
 
 
@@ -311,11 +311,11 @@ def test_regularize_faithful():
     zero = Superoperator(d=d, matrix=np.zeros((4, 4), dtype=complex))
     reg = regularize_faithful(zero, 0.7)
     assert np.allclose(reg.matrix, 0.7 * depolarizing_regulator(d).matrix)
-    _, m0, faithful = stationary_states(reg)
+    m0, faithful = stationary_states(reg)
     assert m0 == 1 and np.linalg.norm(faithful - np.eye(2) / 2) < 1e-8
 
     reg = regularize_faithful(build_superoperator(dephasing_spec()), 0.1)
-    _, m0, faithful = stationary_states(reg)
+    m0, faithful = stationary_states(reg)
     assert m0 == 1
     assert np.linalg.eigvalsh(faithful)[0] > 1e-6
 
@@ -364,10 +364,23 @@ def test_integral_stationary_rejects_period(T):
 
 
 def test_integral_stationary_rejects_defective_zero_mode():
-    # M = |0><1| on vec space: e^{TM} fixes vec(|0><0|), but the zero mode is a
-    # Jordan block (W^dag V singular), so P0 does not exist
+    # M = |0><1| + 2 pi (|3><2| - |2><3|) on vec space: e^{TM} at T = 1 fixes
+    # e0 + e2 (the rotation block is the identity), but M(e0 + e2) = 2 pi e3, so
+    # sigma is not in ker M and its average needs P0, which does not exist: the
+    # zero mode is a Jordan block (W^dag V singular)
+    m = np.zeros((4, 4), dtype=complex)
+    m[0, 1] = 1.0
+    m[2, 3], m[3, 2] = -2 * np.pi, 2 * np.pi
+    sup = Superoperator(d=2, matrix=m)
+    with pytest.raises(ValueError, match="P0 does not exist"):
+        integral_stationary(sup, devectorize([1.0, 0.0, 1.0, 0.0], 2), 1.0)
+
+
+def test_integral_stationary_kernel_sigma_needs_no_projector():
+    # M = |0><1| on vec space has a defective zero mode, so P0 does not exist,
+    # but sigma = |0><0| has M vec(sigma) = 0: it is its own period average
     m = np.zeros((4, 4), dtype=complex)
     m[0, 1] = 1.0
     sup = Superoperator(d=2, matrix=m)
-    with pytest.raises(ValueError, match="P0 does not exist"):
-        integral_stationary(sup, np.diag([1.0, 0.0]), 1.0)
+    sigma = np.diag([1.0, 0.0]).astype(complex)
+    np.testing.assert_array_equal(integral_stationary(sup, sigma, 1.0), sigma)

@@ -26,7 +26,7 @@ from rateaudit.kms import (
 def faithful_setup(seed, d, eps=0.05):
     """Regularized CCP generator with its faithful stationary state."""
     sup = regularize_faithful(build_superoperator(ccp_spec(seed, d)), eps)
-    _, _, omega = stationary_states(sup)
+    _, omega = stationary_states(sup)
     assert omega is not None
     return sup, omega
 
@@ -129,7 +129,7 @@ def test_semigroup_conjugation():
     w = WeightedInnerProduct(omega)
     sharp = kms_adjoint(heis, w)
     schro = adjoint_superoperator(heis)
-    v = np.kron(w.sqrt.T, w.sqrt)
+    v = np.kron(w.w_s.T, w.w_s)
     vinv = np.kron(w.isqrt.T, w.isqrt)
     for t in (0.1, 1.0):
         lhs = scipy.linalg.expm(t * sharp.matrix)

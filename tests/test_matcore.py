@@ -146,7 +146,7 @@ def test_psd_min_eig_projected_choi_of_pauli():
     from rateaudit.generator import choi, maximally_entangled_projector
 
     sup = build_superoperator(pauli_spec(1.0, 1.0, -1.0))
-    c = 4.0 * choi(sup).matrix
+    c = 4.0 * choi(sup)
     q = np.eye(4) - maximally_entangled_projector(2)
     val, ok, _ = psd_min_eig(q @ c @ q)
     assert not ok and val < -1e-6

@@ -13,19 +13,20 @@ from rateaudit.generator import (
     relaxation_rates,
 )
 from rateaudit.bounds import CLASSES, audit_rates
-from rateaudit.matcore import DEFAULT_TOL
-from rateaudit.positivity import NO_VIOLATION_FOUND, SamplerConfig
+from rateaudit.matcore import DEFAULT_TOL, devectorize, vectorize
+from rateaudit.positivity import NO_VIOLATION_FOUND, SamplerConfig, extended_superoperator
 from rateaudit.timedep import (
     NOT_APPLICABLE,
     PropagatorGrid,
     TimeDependentSpec,
+    _random_block_hermitian,
+    _random_projector_difference,
     build_grid,
     builtin_tanh_example,
     divisibility_audit,
     piecewise_spec,
     propagator,
     time_local_bound_audit,
-    time_local_rates,
     trace_norm_monotonicity_check,
 )
 
@@ -72,7 +73,7 @@ def test_builtin_tanh_rates():
             jumps=((SIGMA_PLUS, 1.0), (SIGMA_MINUS, 1.0), (SIGMA_Z, -mu * np.tanh(t))),
         )
         assert np.abs(td.at(t).matrix - build_superoperator(explicit).matrix).max() <= 1e-12
-    rr = time_local_rates(td, 0.0)
+    rr = relaxation_rates(td.at(0.0))
     assert np.allclose(sorted(rr.rates), [1.0, 1.0, 2.0], atol=1e-10)
 
 
@@ -80,7 +81,7 @@ def test_time_local_rates_formulas():
     mu = 0.25
     td = builtin_tanh_example(mu)
     for t in np.linspace(0.0, 3.0, 7):
-        rr = time_local_rates(td, t)
+        rr = relaxation_rates(td.at(t))
         rates = sorted(rr.rates, reverse=True)
         gamma_t = 1.0 - 2.0 * mu * np.tanh(t)
         assert rates[0] == pytest.approx(2.0, abs=1e-9)
@@ -266,6 +267,65 @@ def test_trace_norm_increase_found_tanh():
         td, 1, grid, n_probe_operators=20, steps_per_interval=60
     )
     assert not found1
+
+
+def loop_trace_norm_check(spec, k, grid_times, n_probe_operators, steps_per_interval):
+    """Reference scan: the same probes and norms, and the witness picked by a
+    double loop over probes and intervals (strict >, so the first largest
+    increase in probe-major order wins)."""
+    grid = build_grid(spec, grid_times, steps_per_interval)
+    d, n = spec.d, k * spec.d
+
+    def images(sup, xs):
+        ys = extended_superoperator(sup, k) @ np.column_stack([vectorize(x) for x in xs])
+        return [devectorize(y, n) for y in ys.T]
+
+    def trace_norms(xs):
+        return [np.sum(np.abs(np.linalg.eigvalsh(0.5 * (x + x.conj().T)))) for x in xs]
+
+    psi = np.eye(k, d).reshape(-1) / np.sqrt(min(k, d))
+    probes = []
+    if k > 1:
+        for cum in grid.cumulative[:-1][:n_probe_operators]:
+            x = images(Superoperator(d=d, matrix=np.linalg.inv(cum.matrix)),
+                       [np.outer(psi, psi)])[0]
+            probes.append(0.5 * (x + x.conj().T))
+    rng = np.random.default_rng(np.random.SeedSequence([0, 0x7E]))
+    while len(probes) < n_probe_operators:
+        if len(probes) % 2 == 0:
+            probes.append(_random_projector_difference(rng, n))
+        else:
+            probes.append(_random_block_hermitian(rng, n))
+    norms = np.array([trace_norms(probes)] + [
+        trace_norms(images(cum, probes)) for cum in grid.cumulative[1:]
+    ])
+    best = None
+    found = False
+    for p, x in enumerate(probes):
+        for i, delta in enumerate(np.diff(norms[:, p])):
+            if delta > 1e-7 * norms[0, p]:
+                found = True
+                if best is None or delta > best[2]:
+                    best = (x, (grid.times[i], grid.times[i + 1]), float(delta))
+    return found, best
+
+
+@pytest.mark.parametrize("mu", [0.25, 0.6])
+@pytest.mark.parametrize("k", [1, 2])
+def test_trace_norm_witness_matches_loop(mu, k):
+    td = builtin_tanh_example(mu)
+    grid = np.linspace(0.0, 3.0, 16)
+    found, witness = trace_norm_monotonicity_check(
+        td, k, grid, n_probe_operators=24, steps_per_interval=30
+    )
+    want_found, want = loop_trace_norm_check(td, k, grid, 24, 30)
+    assert found == want_found
+    if want is None:
+        assert witness is None
+    else:
+        x, interval, delta = witness
+        assert x.tobytes() == want[0].tobytes()
+        assert interval == want[1] and delta == want[2]
 
 
 def test_tanh_mu_zero_is_constant():
