@@ -57,7 +57,6 @@ def _classical_matrix(m_u: np.ndarray, s: Superoperator) -> np.ndarray:
 class ClassicalGenerator:
     d: int
     matrix: np.ndarray  # real d x d, columns sum to zero
-    basis: tuple
 
 
 def classical_generator(s: Superoperator, basis) -> ClassicalGenerator:
@@ -66,7 +65,7 @@ def classical_generator(s: Superoperator, basis) -> ClassicalGenerator:
         raise ValueError("classical_generator expects the Schroedinger picture")
     u = _normalize_basis(basis, s.d)
     k = _classical_matrix(_rotated(s.matrix, u), s)
-    return ClassicalGenerator(d=s.d, matrix=k, basis=tuple(u.T))
+    return ClassicalGenerator(d=s.d, matrix=k)
 
 
 def check_stochastic_generator(k: ClassicalGenerator):

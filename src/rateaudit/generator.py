@@ -4,13 +4,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import (
     DEFAULT_TOL,
     ToleranceConfig,
     as_matrix,
     devectorize,
+    expm,
     is_hermitian,
     numerical_kernel,
     spectral_norm,
@@ -94,7 +94,6 @@ class RateReport:
     rates: tuple  # Gamma_ell, sorted descending
     gamma_max: float
     rate_sum: float
-    dropped_zero_index: int
     unstable: bool = False
     defective_zero: bool = False
 
@@ -194,7 +193,6 @@ def rate_reports(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[Rate
             rates=tuple(gammas),
             gamma_max=gammas[0] if gammas else 0.0,
             rate_sum=float(sum(gammas)),
-            dropped_zero_index=int(idx0[i]),
             unstable=any(g < -zero_thresh[i] for g in gammas),
             defective_zero=bool(kdim[i] < n_zero[i]),
         ))
@@ -280,7 +278,7 @@ def integral_stationary(s: Superoperator, sigma, T: float):
     """
     if not (np.isfinite(T) and T > 0):
         raise ValueError(f"T must be finite and positive, got {T!r}")
-    full = scipy.linalg.expm(T * s.matrix)
+    full = expm(T * s.matrix)
     v0 = vectorize(sigma)
     if np.linalg.norm(full @ v0 - v0) > 1e-8 * max(1.0, np.linalg.norm(v0)):
         raise ValueError("sigma is not a fixed point of the time-T map")

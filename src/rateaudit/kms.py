@@ -35,7 +35,6 @@ class WeightedInnerProduct:
             raise ValueError("s must lie in [0, 1]")
         self.omega = omega
         self.s = float(s)
-        self.tol = tol
         self.w_s = frac_power_psd(omega, self.s, tol)
         self.w_1ms = frac_power_psd(omega, 1.0 - self.s, tol)
         self.isqrt = frac_power_psd(omega, -0.5, tol)

@@ -43,8 +43,42 @@ def require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def kron(a, b) -> np.ndarray:
-    return np.kron(as_matrix(a), as_matrix(b))
+# Degree-13 Pade coefficients b_0..b_13 and the 1-norm up to which the
+# approximant is exact to double precision (Higham, SIAM J. Matrix Anal. Appl.
+# 26:1179, 2005, Table 2.3).  Divided by b_0, so that V - U is exactly I at
+# a = 0 and the solve returns exactly I (LAPACK divides by a pivot through its
+# reciprocal, and 1 / b_0 * b_0 != 1).
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """exp(a) of a square matrix or of each matrix of a stack (..., n, n), by
+    scaling and squaring with the degree-13 Pade approximant.  Each matrix
+    gets its own power of two 2^s, the least with ||a / 2^s||_1 < theta_13,
+    and only its own s squarings, so a stacked call equals per-matrix calls
+    bit for bit.  ValueError on NaN/Inf entries."""
+    a = require_finite(np.asarray(a, dtype=complex))
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"square matrices required, got shape {a.shape}")
+    x = a.reshape(-1, *a.shape[-2:])
+    s = np.maximum(0, np.frexp(np.abs(x).sum(axis=1).max(axis=1, initial=0) / _THETA13)[1])
+    x = x * np.ldexp(1.0, -s)[:, None, None]
+    b, ident = _PADE13, np.eye(x.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for i in range(s.max(initial=0)):
+        sel = s > i
+        r[sel] = r[sel] @ r[sel]
+    return r.reshape(a.shape)
 
 
 def vectorize(m) -> np.ndarray:

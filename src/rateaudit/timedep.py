@@ -6,9 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, devectorize, vectorize
+from .matcore import DEFAULT_TOL, ToleranceConfig, devectorize, expm, vectorize
 from .generator import (
     SCHROEDINGER,
     SIGMA_MINUS,
@@ -112,7 +111,7 @@ def propagator(
     if t != s:
         h = (t - s) / steps
         mids = s + (np.arange(steps) + 0.5) * h
-        for factor in scipy.linalg.expm(h * spec.matrices(mids)):
+        for factor in expm(h * spec.matrices(mids)):
             m = factor @ m
     return Superoperator(d=d, matrix=m, picture=SCHROEDINGER)
 

@@ -32,7 +32,6 @@ def report_from_rates(rates):
         rates=rates,
         gamma_max=rates[0],
         rate_sum=float(sum(rates)),
-        dropped_zero_index=0,
     )
 
 

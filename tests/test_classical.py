@@ -81,12 +81,12 @@ def test_column_sums_vanish_random_bases():
 
 
 def test_check_stochastic_generator():
-    k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]), basis=())
+    k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, 1.0], [1.0, -1.0]]))
     ok, col_ok, off_ok = check_stochastic_generator(k)
     assert ok and col_ok and off_ok
-    k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, 2.0], [1.0, -2.0]]), basis=())
+    k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, 2.0], [1.0, -2.0]]))
     assert check_stochastic_generator(k)[0]
-    k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, -0.5], [1.0, 0.5]]), basis=())
+    k = ClassicalGenerator(d=2, matrix=np.array([[-1.0, -0.5], [1.0, 0.5]]))
     ok, col_ok, off_ok = check_stochastic_generator(k)
     assert col_ok and not off_ok and not ok
 

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -316,6 +319,27 @@ def test_out_of_memory_is_a_numerical_failure(capsys, fixtures, monkeypatch):
     code, out, err = run(capsys, "spectrum", str(fixtures / "pauli_111.json"))
     assert code == EXIT_USAGE and out == ""
     assert err == "rateaudit: error: numerical failure: Unable to allocate 410. GiB for an array\n"
+
+
+def test_overflowing_propagator_is_a_numerical_failure(capsys, tmp_path):
+    # a rate of -300 makes exp(10 L) overflow: exit 3 with one stderr line
+    spec = dict(ZERO_SPEC, jumps=[{"rate": -300.0,
+                                   "matrix": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]}])
+    path = write_spec(tmp_path, "blowup.json", {"kind": "time_dependent", "type": "piecewise",
+                                                "times": [0.0], "specs": [spec]})
+    code, out, err = run(capsys, "divisibility", path, "--class", "cp", "--t1", "10",
+                         "--grid", "1", "--steps", "1")
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("rateaudit: error: numerical failure: ") and err.count("\n") == 1
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is the tests' oracle
+    code = "import sys, rateaudit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_steady(capsys, fixtures, tmp_path):

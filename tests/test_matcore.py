@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +11,9 @@ from rateaudit.matcore import (
     as_matrix,
     devectorize,
     eig_general,
+    expm,
     frac_power_psd,
     is_hermitian,
-    kron,
     numerical_kernel,
     psd_min_eig,
     vectorize,
@@ -37,29 +38,6 @@ def test_as_matrix_rejects_nonfinite():
         as_matrix([1.0, 2.0])  # not 2-d
 
 
-def test_kron_identity_and_permutation():
-    i2 = np.eye(2)
-    assert np.array_equal(kron(i2, i2), np.eye(4))
-    sx = np.array([[0, 1], [1, 0]])
-    k = kron(sx, i2)
-    expected = np.zeros((4, 4))
-    expected[0:2, 2:4] = np.eye(2)
-    expected[2:4, 0:2] = np.eye(2)
-    assert np.array_equal(k, expected)
-
-
-def test_kron_matches_elementwise_oracle():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    k = kron(a, b)
-    for i in range(2):
-        for j in range(2):
-            for p in range(2):
-                for q in range(2):
-                    assert k[i * 2 + p, j * 2 + q] == pytest.approx(a[i, j] * b[p, q])
-
-
 def test_vectorize_convention():
     v = vectorize(np.array([[1, 2], [3, 4]]))
     assert np.array_equal(v, np.array([1, 3, 2, 4], dtype=complex))
@@ -82,8 +60,57 @@ def test_vec_sandwich_identity(seed):
         rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)
     )
     lhs = vectorize(a @ rho @ b)
-    rhs = kron(b.T, a) @ vectorize(rho)
+    rhs = np.kron(b.T, a) @ vectorize(rho)
     assert np.linalg.norm(lhs - rhs) < 1e-10
+
+
+def _random_with_norm(rng, n, norm):
+    """A random complex n x n matrix of 1-norm `norm`."""
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a * (norm / np.linalg.norm(a, 1))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9, 16, 64])
+def test_expm_matches_scipy(n):
+    # norms above theta_13 = 5.37 force up to eight squarings
+    rng = np.random.default_rng(n)
+    for norm in (1e-4, 1e-2, 1.0, 5.0, 30.0, 1e2, 1e3):
+        for _ in range(3):
+            a = _random_with_norm(rng, n, norm)
+            if n == 1:
+                a = 1j * abs(a)  # a phase: exp(+-1000) would overflow or underflow
+            want = scipy.linalg.expm(a)
+            assert np.linalg.norm(expm(a) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_expm_zero_is_identity():
+    for n in (1, 3, 16):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_expm_stack_equals_per_matrix_calls(n):
+    rng = np.random.default_rng(10 + n)
+    norms = (1e-3, 0.5, 5.0, 6.0, 40.0, 400.0, 0.02)
+    stack = np.array([_random_with_norm(rng, n, x) for x in norms]).reshape(7, 1, n, n)
+    got = expm(stack)
+    assert got.shape == stack.shape
+    for i in range(len(norms)):
+        assert got[i, 0].tobytes() == expm(stack[i, 0]).tobytes()
+
+
+def test_expm_rejects_nonfinite_and_non_square():
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        a = np.eye(3, dtype=complex)
+        a[1, 2] = bad
+        with pytest.raises(ValueError):
+            expm(a)
+        with pytest.raises(ValueError):
+            expm(np.stack([np.eye(3), a]))
+    with pytest.raises(ValueError):
+        expm(np.ones((2, 3)))
+    with pytest.raises(ValueError):
+        expm(np.ones(4))
 
 
 def test_eig_general_diagonal():

@@ -13,7 +13,7 @@ from rateaudit.generator import (
     relaxation_rates,
 )
 from rateaudit.bounds import CLASSES, audit_rates
-from rateaudit.matcore import DEFAULT_TOL, devectorize, vectorize
+from rateaudit.matcore import DEFAULT_TOL, devectorize, expm, vectorize
 from rateaudit.positivity import NO_VIOLATION_FOUND, SamplerConfig, extended_superoperator
 from rateaudit.timedep import (
     NOT_APPLICABLE,
@@ -341,7 +341,7 @@ def per_step_propagator(spec_at, d, s, t, steps):
     m = np.eye(d * d, dtype=complex)
     for i in range(steps):
         gen = build_superoperator(spec_at(s + (i + 0.5) * h))
-        m = scipy.linalg.expm(h * gen.matrix) @ m
+        m = expm(h * gen.matrix) @ m
     return m
 
 
