@@ -9,7 +9,14 @@ exact: its gap is one Hermitian form, so one eigensolve certifies either way.
 All four sampled checks minimise one kind of objective, b^dag F(a) b over unit
 vectors a and b, where F(a) is Hermitian and, for fixed b, the value is a
 Hermitian quadratic form a^dag G(b) a.  `_alternating_min` solves it by
-alternating exact lowest-eigenvector solves, so the value never increases:
+alternating exact lowest-eigenvector solves, so the value never increases.
+It works on an (R, n) stack of restarts: each half-step is one stacked form
+(one matmul for every live restart) and one stacked eigh, and a per-restart
+mask retires each restart under the stop rule, so every restart runs the
+rounds it would run alone.  Each product is a per-row matrix-vector product,
+so a restart's numbers do not depend on the rest of the stack.  A stack of R
+forms of side n holds R n^2 complex numbers, and a half-step keeps a few such
+stacks alive at once.  The two kinds of objective:
 
 - (conditional) k-positivity: a = phi, b = psi in C^(k d),
   F(phi) = (id_k (x) L)(|phi><phi|) and G(psi) = devec(ext^dag vec|psi><psi|),
@@ -25,6 +32,7 @@ alternating exact lowest-eigenvector solves, so the value never increases:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,50 +121,96 @@ def extended_superoperator(s: Superoperator, k: int) -> np.ndarray:
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
-    # column stacking without the finiteness check of `vectorize`: the inner
-    # loops below only see matrices built from already validated ones
-    return m.reshape(-1, order="F")
+    # column stacking of a matrix or a stack of them, without the finiteness
+    # check of `vectorize`: the engine only sees matrices built from already
+    # validated ones
+    return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
+
+
+def _devec(v: np.ndarray, d: int) -> np.ndarray:
+    # inverse of `_vec` on an (R, d^2) stack, a view
+    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
+
+
+def _adj(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _apply(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # mat @ v[r] for every row of the (R, n) stack v, as one matmul call
+    return (mat @ v[..., None])[..., 0]
+
+
+def _outer_vec(v: np.ndarray) -> np.ndarray:
+    # vec(|v_r><v_r|)[j n + i] = v_ri conj(v_rj) for every row of the (R, n)
+    # stack v; the factors keep the order of np.outer(v_r, conj(v_r)), as SIMD
+    # complex products may round differently when swapped
+    return (v[:, None, :] * v.conj()[:, :, None]).reshape(len(v), -1)
 
 
 def _lowest(h: np.ndarray, against=None):
-    """Lowest eigenpair of Hermitian h; with `against`, over unit vectors
-    orthogonal to it, solved in an orthonormal basis of its complement."""
+    """Lowest eigenpairs of a stack of Hermitian matrices h (R, n, n): values
+    (R,) and unit vectors (R, n).  With `against` (R, n), row r is taken over
+    unit vectors orthogonal to against[r], solved in an orthonormal basis of
+    its complement."""
     if against is None:
         vals, vecs = np.linalg.eigh(h)
-        return float(vals[0]), vecs[:, 0]
+        return vals[:, 0], vecs[:, :, 0]
     # columns 1.. of the unitary Q of [against | I] span against's complement
-    q = np.linalg.qr(np.column_stack([against, np.eye(against.size)]))[0][:, 1:]
-    vals, vecs = np.linalg.eigh(q.conj().T @ h @ q)
-    return float(vals[0]), q @ vecs[:, 0]
+    r, n = against.shape
+    basis = np.zeros((r, n, n + 1), dtype=against.dtype)
+    basis[:, :, 0] = against
+    basis[:, :, 1:] = np.eye(n)
+    q = np.linalg.qr(basis)[0][:, :, 1:]
+    vals, vecs = np.linalg.eigh(_adj(q) @ h @ q)
+    return vals[:, 0], _apply(q, vecs[:, :, 0])
 
 
-def _alternating_min(f_of_a, g_of_b, starts, cfg: SamplerConfig, scale: float,
-                     orthogonal: bool = False):
+class _Minimum(NamedTuple):
+    value: float
+    a: np.ndarray
+    b: np.ndarray
+    index: int  # the winning restart, the earliest on ties
+    rounds: np.ndarray  # rounds run by each restart
+
+
+def _alternating_min(f_of_a, g_of_b, starts: np.ndarray, cfg: SamplerConfig,
+                     scale: float, orthogonal: bool = False) -> _Minimum:
     """Minimise b^dag F(a) b over unit vectors a, b (see the module docstring).
 
-    From each start a, alternate b <- lowest eigenvector of F(a) and
-    a <- lowest eigenvector of G(b) until the value drops by less than
-    1e-14 * scale or cfg.refine_steps rounds have run.  With `orthogonal`
-    each half-step is restricted to the complement of the other vector.
-    Returns (value, a, b) of the lowest restart, the earliest on ties.
+    `starts` is an (R, n) stack of start vectors a, and `f_of_a` and `g_of_b`
+    map an (m, .) stack of vectors to the (m, ., .) stack of their Hermitian
+    forms.  From each start, alternate b <- lowest eigenvector of F(a) and
+    a <- lowest eigenvector of G(b).  All live restarts move together, one
+    stacked form and one stacked eigensolve per half-step; a restart retires
+    when its value drops by less than 1e-14 * scale or after cfg.refine_steps
+    rounds, and the live stack is compacted only in a round where one
+    retires.  With `orthogonal` each half-step is restricted to the
+    complement of the other vector.
     """
-    def solve(h, fixed):
-        return _lowest(h, fixed if orthogonal else None)
-
-    best = None
-    for a in starts:
-        a = a / np.linalg.norm(a)
-        val, b = solve(f_of_a(a), a)
-        for _ in range(cfg.refine_steps):
-            _, a = solve(g_of_b(b), b)
-            cur, b = solve(f_of_a(a), a)
-            converged = val - cur < 1e-14 * scale
-            val = cur
-            if converged:
+    # each start is scaled by its own 1-D norm, so its bytes do not depend on
+    # the stack it sits in
+    a = np.array([s / np.linalg.norm(s) for s in starts])
+    val, b = _lowest(f_of_a(a), a if orthogonal else None)
+    live = np.arange(len(a))
+    out_val, out_a, out_b = np.empty(len(a)), np.empty_like(a), np.empty_like(b)
+    rounds = np.empty(len(a), dtype=int)
+    for step in range(1, cfg.refine_steps + 1):
+        a = _lowest(g_of_b(b), b if orthogonal else None)[1]
+        cur, b = _lowest(f_of_a(a), a if orthogonal else None)
+        done = val - cur < 1e-14 * scale
+        val = cur
+        if step == cfg.refine_steps:
+            done[:] = True
+        if done.any():
+            idx = live[done]
+            out_val[idx], out_a[idx], out_b[idx], rounds[idx] = val[done], a[done], b[done], step
+            keep = ~done
+            live, val, a, b = live[keep], val[keep], a[keep], b[keep]
+            if not live.size:
                 break
-        if best is None or val < best[0]:
-            best = (val, a, b)
-    return best
+    best = int(np.argmin(out_val))
+    return _Minimum(float(out_val[best]), out_a[best], out_b[best], best, rounds)
 
 
 def _sampled_verdict(margin: float, witness, cfg: SamplerConfig, scale: float,
@@ -168,10 +222,9 @@ def _sampled_verdict(margin: float, witness, cfg: SamplerConfig, scale: float,
     )
 
 
-def _k_positivity_verdict(s: Superoperator, k: int, cfg: SamplerConfig,
-                          tol: ToleranceConfig, orthogonal: bool) -> PositivityVerdict:
-    """Sampled minimum of <psi|(id_k (x) Phi)(|phi><phi|)|psi> over unit
-    vectors, with psi _|_ phi when `orthogonal`; witness (phi, psi)."""
+def _k_positivity_problem(s: Superoperator, k: int, cfg: SamplerConfig):
+    """(F, G, starts, scale) of <psi|(id_k (x) Phi)(|phi><phi|)|psi> on
+    (R, k d) stacks of phi and psi, with cfg's seeded random unit starts."""
     if k < 1:
         raise ValueError("k must be >= 1")
     n = k * s.d
@@ -180,19 +233,28 @@ def _k_positivity_verdict(s: Superoperator, k: int, cfg: SamplerConfig,
     ext_adj = ext.conj().T
 
     def m_of_phi(phi):
-        m = devectorize(ext @ _vec(np.outer(phi, phi.conj())), n)
-        herm = 0.5 * (m + m.conj().T)
-        if np.linalg.norm(m - herm) > 1e-10 * scale:
+        m = _devec(_apply(ext, _outer_vec(phi)), n)
+        herm = 0.5 * (m + _adj(m))
+        if np.linalg.norm(m - herm) > 1e-10 * scale:  # over the whole stack
             raise AssertionError("extended map is not Hermiticity-preserving")
         return herm
 
     def a_of_psi(psi):
-        a = devectorize(ext_adj @ _vec(np.outer(psi, psi.conj())), n)
-        return 0.5 * (a + a.conj().T)
+        a = _devec(_apply(ext_adj, _outer_vec(psi)), n)
+        return 0.5 * (a + _adj(a))
 
-    starts = (_random_unit_vector(_restart_rng(cfg, r), n) for r in range(cfg.n_restarts))
-    q, phi, psi = _alternating_min(m_of_phi, a_of_psi, starts, cfg, scale, orthogonal)
-    return _sampled_verdict(q, (phi, psi), cfg, scale, tol)
+    starts = np.array([_random_unit_vector(_restart_rng(cfg, r), n)
+                       for r in range(cfg.n_restarts)])
+    return m_of_phi, a_of_psi, starts, scale
+
+
+def _k_positivity_verdict(s: Superoperator, k: int, cfg: SamplerConfig,
+                          tol: ToleranceConfig, orthogonal: bool) -> PositivityVerdict:
+    """Sampled minimum of <psi|(id_k (x) Phi)(|phi><phi|)|psi> over unit
+    vectors, with psi _|_ phi when `orthogonal`; witness (phi, psi)."""
+    m_of_phi, a_of_psi, starts, scale = _k_positivity_problem(s, k, cfg)
+    best = _alternating_min(m_of_phi, a_of_psi, starts, cfg, scale, orthogonal)
+    return _sampled_verdict(best.value, (best.a, best.b), cfg, scale, tol)
 
 
 def check_conditional_k_positivity(
@@ -236,42 +298,62 @@ def _matrix_unit_starts(d: int) -> list[np.ndarray]:
     return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
-def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerConfig,
-                    tol: ToleranceConfig) -> PositivityVerdict:
-    """Sampled minimum of the least eigenvalue of
-    D(X) = Phi(X^dag X) - Phi(X)^dag K(X) - K(X)^dag Phi(X) over unit-Frobenius X,
-    with Phi = m and K = cross (both d^2 x d^2); `defect(m, X)` is the public
-    defect function that the reported margin is replayed with."""
+def _defect_problem(m: Superoperator, cross: np.ndarray, cfg: SamplerConfig):
+    """(F, G, starts, scale) of the defect objective on (R, d^2) stacks of
+    vec(X) and (R, d) stacks of v: F(X) = D(X) = Phi(X^dag X) - Phi(X)^dag K(X)
+    - K(X)^dag Phi(X) with Phi = m and K = cross (both d^2 x d^2), G(v) the form
+    of the module docstring; the starts are the matrix units, then cfg's
+    seeded random matrices."""
     d, mat = m.d, m.matrix
     scale = max(1.0, m.norm())
     eye = np.eye(d, dtype=complex)
-    # row j d + i of a d^2-row matrix sits at [j, i]: (Y v)_i = sum_j v_j vec(Y)[j d + i]
-    mat_rows = mat.reshape(d, d, d * d)
-    cross_rows = cross.reshape(d, d, d * d)
+    # Phi and K side by side, so one matmul applies both; row j d + i of a
+    # d^2-row matrix sits at [j, i]: (Y v)_i = sum_j v_j vec(Y)[j d + i]
+    pair = np.stack([mat, cross])
+    pair_rows = pair.reshape(2, d, d * d * d)
     mat_adj = mat.conj().T
 
+    def minus_cross_terms(h, yz):
+        # h - Y^dag Z - Z^dag Y for the (R, 2, ., .) stack of pairs (Y, Z)
+        terms = _adj(yz) @ yz[:, ::-1]
+        return h - terms[:, 0] - terms[:, 1]
+
     def defect_of_x(x):
-        xm = devectorize(x, d)
-        y = devectorize(mat @ x, d)
-        z = devectorize(cross @ x, d)
-        out = devectorize(mat @ _vec(xm.conj().T @ xm), d) - y.conj().T @ z - z.conj().T @ y
-        return 0.5 * (out + out.conj().T)
+        xm = _devec(x, d)
+        yz = _devec(_apply(pair, x[:, None, :]), d)
+        out = minus_cross_terms(_devec(_apply(mat, _vec(_adj(xm) @ xm)), d), yz)
+        return 0.5 * (out + _adj(out))
 
     def form_of_v(v):
-        r = devectorize(mat_adj @ _vec(np.outer(v, v.conj())), d)
-        b = np.tensordot(v, mat_rows, axes=1)
-        c = np.tensordot(v, cross_rows, axes=1)
-        g = np.kron(r.conj(), eye) - b.conj().T @ c - c.conj().T @ b
-        return 0.5 * (g + g.conj().T)
+        r = _devec(_apply(mat_adj, _outer_vec(v)), d)
+        bc = (v[:, None, None, :] @ pair_rows).reshape(-1, 2, d, d * d)
+        # kron(conj(R), I) for every row of the stack
+        kron = (r.conj()[:, :, None, :, None] * eye[:, None, :]).reshape(-1, d * d, d * d)
+        g = minus_cross_terms(kron, bc)
+        return 0.5 * (g + _adj(g))
 
     units = _matrix_unit_starts(d)
     randoms = [_random_matrix(_restart_rng(cfg, r), d)
                for r in range(len(units), len(units) + cfg.n_restarts)]
-    starts = [_vec(x) for x in units + randoms]
-    _, x, _ = _alternating_min(defect_of_x, form_of_v, starts, cfg, scale)
-    witness = devectorize(x, d)
+    return defect_of_x, form_of_v, _vec(np.array(units + randoms)), scale
+
+
+def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerConfig,
+                    tol: ToleranceConfig) -> PositivityVerdict:
+    """Sampled minimum of the least eigenvalue of the defect D(X) of
+    `_defect_problem` over unit-Frobenius X; `defect(m, X)` is the public
+    defect function that the reported margin is replayed with."""
+    defect_of_x, form_of_v, starts, scale = _defect_problem(m, cross, cfg)
+    witness = devectorize(_alternating_min(defect_of_x, form_of_v, starts, cfg, scale).a, m.d)
     margin = float(np.linalg.eigvalsh(defect(m, witness))[0])
     return _sampled_verdict(margin, witness, cfg, scale, tol)
+
+
+def _too_large(residual: float, m: Superoperator) -> bool:
+    """residual > 1e-8 max(1, ||m||), taking the spectral norm of m only when
+    residual > 1e-8: a map that passes costs no SVD here, so a sampled check
+    that follows takes the one norm it needs."""
+    return bool(residual > 1e-8 and residual > 1e-8 * m.norm())
 
 
 def check_dissipativity(
@@ -283,7 +365,7 @@ def check_dissipativity(
     if s_heis.picture != HEISENBERG:
         raise ValueError("check_dissipativity expects the Heisenberg picture")
     eye = np.eye(s_heis.d, dtype=complex)
-    if np.linalg.norm(s_heis.apply(eye)) > 1e-8 * max(1.0, s_heis.norm()):
+    if _too_large(np.linalg.norm(s_heis.apply(eye)), s_heis):
         raise ValueError("generator is not unital")
     identity = np.eye(s_heis.d**2, dtype=complex)
     return _defect_verdict(s_heis, identity, dissipativity_defect, cfg, tol)
@@ -318,14 +400,15 @@ def qubit_pauli_classify(g1: float, g2: float, g3: float) -> str:
 def schwarz_defect(m: Superoperator, x) -> np.ndarray:
     """Phi(X^dag X) - Phi(X)^dag Phi(X) for a map in the Heisenberg picture."""
     x = np.asarray(x, dtype=complex)
-    out = m.apply(x.conj().T @ x) - m.apply(x).conj().T @ m.apply(x)
+    y = m.apply(x)
+    out = m.apply(x.conj().T @ x) - y.conj().T @ y
     return 0.5 * (out + out.conj().T)
 
 
 def non_unital(m: Superoperator) -> bool:
     """The unitality test of the Schwarz check: ||Phi(I) - I|| > 1e-8 max(1, ||Phi||)."""
     eye = np.eye(m.d, dtype=complex)
-    return bool(np.linalg.norm(m.apply(eye) - eye) > 1e-8 * max(1.0, m.norm()))
+    return _too_large(np.linalg.norm(m.apply(eye) - eye), m)
 
 
 def check_map_class(
@@ -373,7 +456,7 @@ def variance_contractivity_check(
     if np.linalg.eigvalsh(omega)[0] <= tol.psd_tol:
         raise ValueError("omega must be full rank")
     schro = adjoint_superoperator(m_heis)
-    if np.linalg.norm(schro.apply(omega) - omega) > 1e-8 * max(1.0, m_heis.norm()):
+    if _too_large(np.linalg.norm(schro.apply(omega) - omega), m_heis):
         raise ValueError("omega is not invariant under the Schroedinger map")
     if non_unital(m_heis):
         return PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
@@ -382,7 +465,8 @@ def variance_contractivity_check(
     v = np.kron(omega.T, np.eye(d)) - np.outer(w, w.conj())
     g = v - mat.conj().T @ v @ mat
     g = 0.5 * (g + g.conj().T)
-    margin, a = _lowest(g, vectorize(np.eye(d)) / np.sqrt(d))
+    vals, vecs = _lowest(g[None], vectorize(np.eye(d))[None] / np.sqrt(d))
+    margin, a = float(vals[0]), vecs[0]
     is_psd = margin >= -tol.psd_tol * max(1.0, np.linalg.norm(g, 2))
     return PositivityVerdict(status=CERTIFIED_PASS if is_psd else CERTIFIED_FAIL,
                              margin=margin, witness=devectorize(a, d))

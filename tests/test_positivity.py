@@ -22,6 +22,10 @@ from rateaudit.positivity import (
     VIOLATION_FOUND,
     PositivityVerdict,
     SamplerConfig,
+    _alternating_min,
+    _defect_problem,
+    _k_positivity_problem,
+    _lowest,
     _matrix_unit_starts,
     _vec,
     check_ccp,
@@ -362,3 +366,178 @@ def test_verdict_semantics():
     assert not PositivityVerdict(status=NO_VIOLATION_FOUND, margin=0.1).violated
     with pytest.raises(ValueError):
         SamplerConfig(n_restarts=0)
+
+
+# --- the stacked alternating engine against the per-restart loop it replaced
+
+
+def _lowest_reference(h, against=None):
+    # the per-vector solve that the stacked `_lowest` replaced
+    if against is None:
+        vals, vecs = np.linalg.eigh(h)
+        return float(vals[0]), vecs[:, 0]
+    q = np.linalg.qr(np.column_stack([against, np.eye(against.size)]))[0][:, 1:]
+    vals, vecs = np.linalg.eigh(q.conj().T @ h @ q)
+    return float(vals[0]), q @ vecs[:, 0]
+
+
+def _alternating_min_reference(f_of_a, g_of_b, starts, cfg, scale, orthogonal=False):
+    """The per-restart loop that `_alternating_min` replaced, on the same
+    forms called with one-row stacks: ((value, index, a, b), rounds)."""
+    def solve(h, fixed):
+        return _lowest_reference(h, fixed if orthogonal else None)
+
+    best, rounds = None, []
+    for i, a in enumerate(starts):
+        a = a / np.linalg.norm(a)
+        val, b = solve(f_of_a(a[None])[0], a)
+        for step in range(1, cfg.refine_steps + 1):
+            _, a = solve(g_of_b(b[None])[0], b)
+            cur, b = solve(f_of_a(a[None])[0], a)
+            converged = val - cur < 1e-14 * scale
+            val = cur
+            if converged:
+                break
+        rounds.append(step)
+        if best is None or val < best[0]:
+            best = (val, i, a, b)
+    return best, rounds
+
+
+def _assert_engine_matches_loop(f_of_a, g_of_b, starts, cfg, scale, orthogonal=False):
+    got = _alternating_min(f_of_a, g_of_b, starts, cfg, scale, orthogonal)
+    (value, index, a, b), rounds = _alternating_min_reference(
+        f_of_a, g_of_b, starts, cfg, scale, orthogonal)
+    assert abs(got.value - value) <= 1e-12 * max(1.0, abs(value))
+    assert got.index == index
+    assert got.rounds.tolist() == rounds
+    assert np.allclose(got.a, a, rtol=0, atol=1e-12) and np.allclose(got.b, b, rtol=0, atol=1e-12)
+    return got
+
+
+def _non_ccp_generator(d, seed):
+    # random jumps, the last one at a negative rate
+    rng = np.random.default_rng(np.random.SeedSequence([seed, d, 19]))
+    jumps = tuple((rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rate)
+                  for rate in (0.8, 0.5, -0.4))
+    return build_superoperator(GeneratorSpec(hamiltonian=np.zeros((d, d)), jumps=jumps))
+
+
+def _non_cp_channel(d, seed, t=0.3):
+    return Superoperator(d=d, matrix=scipy.linalg.expm(t * _non_ccp_generator(d, seed).matrix))
+
+
+def _schwarz_instance():
+    # the Heisenberg adjoint of e^{0.4 L} for Pauli (1, 1, -1): unital, not Schwarz
+    schro = Superoperator(
+        d=2, matrix=scipy.linalg.expm(0.4 * build_superoperator(pauli_spec(1.0, 1.0, -1.0)).matrix))
+    return adjoint_superoperator(schro)
+
+
+@pytest.mark.parametrize("d,k", [(2, 2), (3, 2), (3, 3)])
+def test_engine_matches_loop_conditional_k(d, k):
+    cfg = SamplerConfig(n_restarts=6, refine_steps=60, seed=d * 10 + k)
+    f, g, starts, scale = _k_positivity_problem(_non_ccp_generator(d, 3), k, cfg)
+    _assert_engine_matches_loop(f, g, starts, cfg, scale, orthogonal=True)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_engine_matches_loop_map_level_k(k):
+    for d in (2, 3):
+        cfg = SamplerConfig(n_restarts=6, refine_steps=60, seed=k)
+        f, g, starts, scale = _k_positivity_problem(_non_cp_channel(d, 5), k, cfg)
+        _assert_engine_matches_loop(f, g, starts, cfg, scale)
+
+
+def test_engine_matches_loop_schwarz():
+    m = _schwarz_instance()
+    cfg = SamplerConfig(n_restarts=8, refine_steps=80, seed=4)
+    f, g, starts, scale = _defect_problem(m, 0.5 * m.matrix, cfg)
+    got = _assert_engine_matches_loop(f, g, starts, cfg, scale)
+    assert got.value < -1e-3
+
+
+def test_engine_matches_loop_dissipativity():
+    for rates, seed in (((1.0, 1.0, -1.0), 6), ((2.0, 2.0, -1.0), 7)):
+        heis = adjoint_superoperator(build_superoperator(pauli_spec(*rates)))
+        cfg = SamplerConfig(n_restarts=8, refine_steps=80, seed=seed)
+        f, g, starts, scale = _defect_problem(heis, np.eye(4, dtype=complex), cfg)
+        _assert_engine_matches_loop(f, g, starts, cfg, scale)
+
+
+def test_engine_retires_restarts_on_their_own():
+    # the matrix-unit starts of a Schwarz problem stop in round 1, while a
+    # random start of the same problem runs to the refine_steps cap
+    from rateaudit.timedep import builtin_tanh_example, propagator
+
+    m = adjoint_superoperator(propagator(builtin_tanh_example(0.6), 0.5, 0.7, 25))
+    cfg = SamplerConfig(n_restarts=2, refine_steps=20)
+    f, g, starts, scale = _defect_problem(m, 0.5 * m.matrix, cfg)
+    got = _assert_engine_matches_loop(f, g, starts, cfg, scale)
+    assert got.rounds.min() == 1 and got.rounds.max() == cfg.refine_steps
+
+
+def test_engine_ties_go_to_the_earliest_restart():
+    cfg = SamplerConfig(n_restarts=6, refine_steps=60, seed=2)
+    f, g, starts, scale = _k_positivity_problem(_non_ccp_generator(2, 3), 2, cfg)
+    best = _alternating_min(f, g, starts, cfg, scale, orthogonal=True)
+    worse = (best.index + 1) % len(starts)
+    twins = np.array([starts[worse], starts[best.index], starts[best.index]])
+    got = _assert_engine_matches_loop(f, g, twins, cfg, scale, orthogonal=True)
+    assert got.index == 1 and got.value == best.value
+    assert got.rounds[1] == got.rounds[2]
+
+
+def test_stacked_forms_match_the_public_maps():
+    rng = np.random.default_rng(23)
+    # k-positivity: F(phi) = (id_k (x) Phi)(|phi><phi|), psi^dag F(phi) psi = phi^dag G(psi) phi
+    sup = _non_ccp_generator(3, 1)
+    f, g, _, _ = _k_positivity_problem(sup, 2, SamplerConfig(n_restarts=1))
+    phi = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+    psi = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
+    fs, gs = f(phi), g(psi)
+    ext = extended_superoperator(sup, 2)
+    for p, q, fp, gq in zip(phi, psi, fs, gs):
+        expected = (ext @ vectorize(np.outer(p, p.conj()))).reshape(6, 6, order="F")
+        assert np.allclose(fp, expected, rtol=0, atol=1e-12)
+        assert abs(q.conj() @ fp @ q - p.conj() @ gq @ p) < 1e-12
+    # Schwarz: F(x) = schwarz_defect(X), v^dag F(x) v = x^dag G(v) x
+    m = _schwarz_instance()
+    f, g, _, _ = _defect_problem(m, 0.5 * m.matrix, SamplerConfig(n_restarts=1))
+    x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+    v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    for xr, vr, fx, gv in zip(x, v, f(x), g(v)):
+        assert np.allclose(fx, schwarz_defect(m, xr.reshape(2, 2, order="F")), rtol=0, atol=1e-12)
+        assert abs(vr.conj() @ fx @ vr - xr.conj() @ gv @ xr) < 1e-12
+
+
+def _complement_case(kind, r, n, rng):
+    against = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
+    if kind == "e0":
+        against = np.zeros((r, n), dtype=complex)
+        against[:, 0] = 1.0
+    elif kind == "first_zero":
+        against[:, 0] = 0.0
+    return against / np.linalg.norm(against, axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("kind", ["e0", "first_zero", "random"])
+def test_lowest_on_the_complement(kind, r):
+    n = 5
+    rng = np.random.default_rng(np.random.SeedSequence([r, len(kind)]))
+    h = rng.normal(size=(r, n, n)) + 1j * rng.normal(size=(r, n, n))
+    h = h + h.conj().transpose(0, 2, 1)
+    against = _complement_case(kind, r, n, rng)
+    vals, vecs = _lowest(h, against)
+    assert vals.shape == (r,) and vecs.shape == (r, n)
+    for hr, ar, val, vec in zip(h, against, vals, vecs):
+        assert abs(np.linalg.norm(vec) - 1.0) < 1e-14
+        assert abs(ar.conj() @ vec) < 1e-14
+        basis = scipy.linalg.null_space(ar.conj()[None])  # orthonormal, n - 1 columns
+        dense = np.linalg.eigvalsh(basis.conj().T @ hr @ basis)[0]
+        assert abs(val - dense) <= 1e-12 * max(1.0, abs(dense))
+        assert abs((vec.conj() @ hr @ vec).real - val) <= 1e-12 * max(1.0, abs(val))
+    # a row's result does not depend on the stack it is solved in
+    one_vals, one_vecs = _lowest(h[:1], against[:1])
+    assert one_vals[0] == vals[0] and np.array_equal(one_vecs[0], vecs[0])
