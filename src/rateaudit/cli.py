@@ -142,7 +142,8 @@ def load_spec_file(path: str):
     a spec the generator constructors reject) is a UsageError.
     """
     try:
-        raw = open(path, "rb").read()
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from exc
     digest = hashlib.sha256(raw).hexdigest()
@@ -398,7 +399,10 @@ def cmd_kms(args, sup, tol):
 
 def _run(args) -> int:
     """Loads and kind-checks the spec, reads the tolerances, builds a static
-    generator, runs the command and emits its fields in the report envelope."""
+    generator, runs the command and emits its fields in the report envelope.
+
+    The command is looked up by name when it runs, not bound into the
+    parser, so the parser can be built once per process."""
     t0 = time.monotonic()
     data = None
     digest = "-"
@@ -412,7 +416,7 @@ def _run(args) -> int:
         tol = ToleranceConfig(psd_tol=args.tol)
     if args.spec_kind == "static":
         data = build_superoperator(data)
-    fields, code = args.run(args, data, tol)
+    fields, code = globals()[f"cmd_{args.command}"](args, data, tol)
     report = {
         "command": args.command,
         "input_digest": digest,
@@ -469,10 +473,10 @@ _finite = _checked_float(np.isfinite, "a finite number")
 _nonnegative = _checked_float(lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
 
 
-def _command(sub, name: str, help: str, run, spec_kind):
-    """Registers one command for `_run`: the spec positional when it reads a
-    spec file of kind `spec_kind`, the four common flags, and the defaults
-    `run` and `spec_kind`, which no flag sets."""
+def _command(sub, name: str, help: str, spec_kind):
+    """Registers one command for `_run`, which calls `cmd_<name>`: the spec
+    positional when it reads a spec file of kind `spec_kind`, the four common
+    flags, and the default `spec_kind`, which no flag sets."""
     p = sub.add_parser(name, help=help)
     if spec_kind is not None:
         p.add_argument("spec")
@@ -480,7 +484,7 @@ def _command(sub, name: str, help: str, run, spec_kind):
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--out", default=None, help="write the report to a file")
     p.add_argument("--timing", action="store_true", help="include elapsed_ms")
-    p.set_defaults(run=run, spec_kind=spec_kind)
+    p.set_defaults(spec_kind=spec_kind)
     return p
 
 
@@ -488,13 +492,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="rateaudit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _command(sub, "spectrum", "eigenvalues and relaxation rates", cmd_spectrum, "static")
+    _command(sub, "spectrum", "eigenvalues and relaxation rates", "static")
 
-    p = _command(sub, "audit", "rate-constraint audit for a class", cmd_audit, "static")
+    p = _command(sub, "audit", "rate-constraint audit for a class", "static")
     p.add_argument("--class", dest="audit_class", required=True,
                    choices=CLASSES)
 
-    p = _command(sub, "check", "positivity checks of the generator", cmd_check, "static")
+    p = _command(sub, "check", "positivity checks of the generator", "static")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--ccp", action="store_true")
     group.add_argument("--k", type=_positive_int, default=None)
@@ -503,8 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--require-certified", action="store_true")
 
-    p = _command(sub, "divisibility", "per-interval divisibility audit", cmd_divisibility,
-                 "time_dependent")
+    p = _command(sub, "divisibility", "per-interval divisibility audit", "time_dependent")
     p.add_argument("--class", dest="audit_class", required=True,
                    choices=CLASSES)
     p.add_argument("--t0", type=_finite, default=0.0)
@@ -514,27 +517,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_positive_int, default=64)
     p.add_argument("--seed", type=_seed, default=0)
 
-    p = _command(sub, "sample", "randomized audit harness", cmd_sample, None)
+    p = _command(sub, "sample", "randomized audit harness", None)
     p.add_argument("--d", type=_int_at_least(2, "an integer >= 2"), required=True)
     p.add_argument("--count", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--class-check", dest="class_check", required=True,
                    choices=CLASSES)
 
-    p = _command(sub, "steady", "steady-state count vs class bound", cmd_steady, "static")
+    p = _command(sub, "steady", "steady-state count vs class bound", "static")
     p.add_argument("--class", dest="audit_class", required=True,
                    choices=CLASSES)
 
-    p = _command(sub, "kms", "weighted-adjoint diagnostics", cmd_kms, "static")
+    p = _command(sub, "kms", "weighted-adjoint diagnostics", "static")
     p.add_argument("--epsilon", type=_nonnegative, default=0.0)
 
     return parser
 
 
+_parser = None  # built by the first `main` call, reused by every later one
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         # an overflow or a NaN raises FloatingPointError where it happens
         # instead of printing a warning and running on with inf or NaN
         with np.errstate(all="raise", under="ignore"):

@@ -1,9 +1,13 @@
 import contextlib
+import gc
+import importlib.util
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,6 +88,14 @@ def test_load_spec_file_errors(tmp_path, fixtures):
         load_spec_file(str(bad))  # pieces of different d
     kind, spec, digest = load_spec_file(str(fixtures / "pauli_111.json"))
     assert kind == "static" and spec.d == 2 and len(digest) == 64
+
+
+def test_load_spec_file_closes_its_file(fixtures):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        load_spec_file(str(fixtures / "tanh_025.json"))
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_spectrum_pauli(capsys, fixtures):
@@ -319,6 +331,58 @@ def test_out_of_memory_is_a_numerical_failure(capsys, fixtures, monkeypatch):
     code, out, err = run(capsys, "spectrum", str(fixtures / "pauli_111.json"))
     assert code == EXIT_USAGE and out == ""
     assert err == "rateaudit: error: numerical failure: Unable to allocate 410. GiB for an array\n"
+
+
+def test_commands_are_looked_up_when_called(capsys, fixtures, monkeypatch):
+    # the parser is built once per process, so it must not hold the command
+    # functions: a command patched after the first call still takes effect
+    spec = str(fixtures / "pauli_111.json")
+    assert run(capsys, "spectrum", spec)[0] == EXIT_PASS
+
+    def patched(args, sup, tol):
+        raise RuntimeError("patched spectrum")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", patched)
+    code, out, err = run(capsys, "spectrum", spec)
+    assert code == EXIT_USAGE and out == ""
+    assert err == "rateaudit: error: numerical failure: patched spectrum\n"
+
+
+def test_main_builds_the_parser_once(capsys, fixtures, monkeypatch):
+    built = []
+    fresh = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return fresh()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counted)
+    spec = str(fixtures / "pauli_111.json")
+    for argv in (["spectrum", spec], ["check", spec, "--ccp"], ["check", spec, "--k", "0"],
+                 ["audit", spec, "--class", "cp"]) * 5:
+        run(capsys, *argv)
+    assert len(built) == 1
+
+
+def _parsed(parser, argv):
+    try:
+        return vars(parser.parse_args(argv))
+    except UsageError as exc:
+        return str(exc)
+
+
+def test_cached_parser_parses_like_a_fresh_one(capsys, fixtures, tmp_path):
+    # no flag set by one call may leak into the namespace of a later one
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "report_matrix.py"
+    loader = importlib.util.spec_from_file_location("report_matrix", script)
+    report_matrix = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(report_matrix)
+    first = ["check", str(fixtures / "pauli_111.json"), "--k", "2", "--require-certified",
+             "--tol", "1e-9", "--format", "text", "--timing", "--out", str(tmp_path / "r.txt")]
+    assert run(capsys, *first)[0] == EXIT_INCONCLUSIVE
+    for argv in [first] + report_matrix.matrix(str(fixtures)):
+        assert _parsed(cli._parser, argv) == _parsed(cli.build_parser(), argv), argv
 
 
 def test_overflowing_propagator_is_a_numerical_failure(capsys, tmp_path):
