@@ -24,6 +24,7 @@ from .generator import (
     adjoint_superoperator,
     build_superoperator,
     gkls_matrices,
+    hp_spectrum,
     rate_reports,
     relaxation_rates,
     regularize_faithful,
@@ -379,7 +380,7 @@ def cmd_kms(args, sup, tol):
     sharp = kms_adjoint(heis, w)
     sym = 0.5 * (heis.matrix + sharp.matrix)  # symmetrized_generator without a second L^#
     eye = np.eye(sup.d, dtype=complex)
-    sym_eigs = np.linalg.eigvals(sym)
+    sym_eigs = hp_spectrum(sym[None], tol)[0][0]
     lo, hi = bendixson_interval(heis.matrix)
     return {
         "details": {

@@ -1,6 +1,7 @@
 """Markovian generators: construction, spectra, Choi matrices, steady states."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,16 +162,49 @@ def superoperator_from_choi(c: np.ndarray) -> Superoperator:
     return Superoperator(d=d, matrix=_reshuffle(d * c, d))
 
 
+@functools.cache
+def _hermitian_basis(d: int) -> np.ndarray:
+    """Read-only columns vec(F) of the orthonormal basis |i><i|, (|i><j| + |j><i|)/sqrt2,
+    (-i|i><j| + i|j><i|)/sqrt2 (i < j) of the Hermitian d x d matrices."""
+    i, j = np.triu_indices(d, 1)
+    k, s = d + 2 * np.arange(i.size), 2 ** -0.5
+    u = np.zeros((d * d, d * d), dtype=complex)
+    u[np.arange(d) * (d + 1), np.arange(d)] = 1.0
+    u[j * d + i, k], u[i * d + j, k] = s, s  # vec(|i><j|) sits at index j d + i
+    u[j * d + i, k + 1], u[i * d + j, k + 1] = -1j * s, 1j * s
+    u.flags.writeable = False
+    return u
+
+
+def hp_spectrum(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+    """Eigenvalues and singular values of each Hermiticity-preserving map M of an
+    (N, d^2, d^2) stack, from its real form R = Re(U^dag M U), U = `_hermitian_basis(d)`.
+    The eigenvalues are complex, sorted by (real part descending, imaginary part
+    ascending).  ValueError when ||Im(U^dag M U)||_F > hermiticity_tol max(1, ||R||)."""
+    u = _hermitian_basis(round(m.shape[-1] ** 0.5))
+    full = u.conj().T @ m @ u
+    svals = np.linalg.svd(full.real, compute_uv=False)
+    skew = np.linalg.norm(full.imag, axis=(-2, -1))
+    limit = tol.hermiticity_tol * np.maximum(1.0, svals[:, 0])
+    if np.any(skew > limit):
+        i = np.argmax(skew > limit)
+        raise ValueError(f"imaginary part {skew[i]:.3e} of the real form exceeds hermiticity_tol"
+                         f"*max(1, ||R||) = {limit[i]:.3e}: the map is not Hermiticity-preserving")
+    # real eigvals returns a float array when every eigenvalue is real
+    vals = np.linalg.eigvals(full.real).astype(complex)
+    return np.take_along_axis(vals, np.lexsort((vals.imag, -vals.real), axis=-1), -1), svals
+
+
 def rate_reports(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[RateReport]:
-    """Rates of each matrix of an (N, n, n) stack from its eigenvalues, sorted
-    by (real part descending, imaginary part ascending): one near-zero mode
-    dropped, the rest negated; other copies of a degenerate zero stay as zero
-    rates, which keeps sum(Gamma) = -Re Tr L exact.  The singular values give
-    the scale max(1, ||L||) and, as in `numerical_kernel`, the kernel dimension.
+    """Rates of each generator matrix of an (N, n, n) stack from one `hp_spectrum`
+    (a stacked transform to the real form, real `eigvals` and `svd`, ValueError for
+    a map that is not Hermiticity-preserving; complex eigenvalues in exact conjugate
+    pairs): one near-zero mode dropped, the rest negated; other copies of a
+    degenerate zero stay as zero rates, which keeps sum(Gamma) = -Re Tr L exact.
+    The singular values give the scale max(1, ||L||) and, as in `numerical_kernel`,
+    the kernel dimension.
     """
-    vals = np.linalg.eigvals(m)
-    vals = np.take_along_axis(vals, np.lexsort((vals.imag, -vals.real), axis=-1), -1)
-    svals = np.linalg.svd(m, compute_uv=False)
+    vals, svals = hp_spectrum(m, tol)
     scale = np.maximum(1.0, svals[:, 0])
     resid = np.abs(vals.sum(axis=-1) - np.trace(m, axis1=-2, axis2=-1))
     zero_thresh = tol.psd_tol * scale

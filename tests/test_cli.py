@@ -105,6 +105,12 @@ def test_spectrum_pauli(capsys, fixtures):
     assert np.allclose(doc["rates"], [2.0, 0.0, 0.0], atol=1e-10)
     assert doc["details"]["sum_rule_residual"] < 1e-9
 
+    # an all-real spectrum still renders each eigenvalue as [re, im]
+    code, out, _ = run(capsys, "spectrum", str(fixtures / "pauli_22-1.json"))
+    eigenvalues = json.loads(out)["details"]["eigenvalues"]
+    assert code == EXIT_PASS and len(eigenvalues) == 4
+    assert all(len(v) == 2 and v[1] == 0.0 for v in eigenvalues)
+
 
 def test_spectrum_zero_generator(capsys, tmp_path):
     path = write_spec(tmp_path, "zero.json", ZERO_SPEC)
@@ -213,8 +219,10 @@ def test_bad_flag_values_are_usage_errors(capsys, fixtures, tmp_path):
     huge_jump = write_spec(tmp_path, "huge_jump.json",
                            dict(ZERO_SPEC, jumps=[{"matrix": huge_plus, "rate": 1.0}]))
     sigma_x = [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]]
+    small_h = [[[0.01, 0.0], [0.02, 0.0]], [[0.02, 0.0], [-0.01, 0.0]]]
     flip = write_spec(tmp_path, "flip.json", dict(
-        ZERO_SPEC, jumps=[{"matrix": sigma_x, "rate": r} for r in (0.0, 0.0, 1.0)]))
+        ZERO_SPEC, hamiltonian=small_h,
+        jumps=[{"matrix": sigma_x, "rate": r} for r in (0.0, 0.0, 1.0)]))
     for argv in (
         ["spectrum", pauli, "--tol", "0"],
         ["check", pauli, "--ccp", "--tol", "nan"],
@@ -239,8 +247,8 @@ def test_bad_flag_values_are_usage_errors(capsys, fixtures, tmp_path):
         assert out == "" and err.count("\n") == 1 and err.startswith("rateaudit: error:")
 
     # a tolerance below the eigensolver's rounding error (min |lambda| is
-    # about 5e-32 here) must not be blamed on the trace-preserving generator
-    code, out, err = run(capsys, "spectrum", flip, "--tol", "2.7e-132")
+    # about 1e-16 here) must not be blamed on the trace-preserving generator
+    code, out, err = run(capsys, "spectrum", flip, "--tol", "1e-20")
     assert code == EXIT_USAGE and out == "" and err.count("\n") == 1
     assert "psd_tol*||L||" in err and "rounding error" in err
 

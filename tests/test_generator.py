@@ -14,7 +14,9 @@ from rateaudit.generator import (
     check_choi_trace_identity,
     choi,
     depolarizing_regulator,
+    _hermitian_basis,
     gkls_matrices,
+    hp_spectrum,
     integral_stationary,
     maximally_entangled_projector,
     pauli_spec,
@@ -25,6 +27,7 @@ from rateaudit.generator import (
     superoperator_from_choi,
 )
 from rateaudit.matcore import devectorize, vectorize
+from rateaudit.timedep import builtin_tanh_example
 
 
 def dephasing_spec():
@@ -267,6 +270,62 @@ def test_rate_reports_stack_matches_single_reports():
     with pytest.raises(RuntimeError, match=re.escape(str(single.value))):
         rate_reports(bad)
 
+
+
+def complex_rate_reference(m):
+    """Eigenvalues (sorted by real part descending) and the rates of one
+    generator matrix from complex `eigvals` of m itself, as `rate_reports`
+    computed them before the real form."""
+    vals = np.linalg.eigvals(m)
+    vals = vals[np.lexsort((vals.imag, -vals.real))]
+    i0 = np.argmin(np.abs(vals))
+    return vals, sorted((-x.real for j, x in enumerate(vals) if j != i0), reverse=True)
+
+
+def test_hermitian_basis_is_unitary_and_hermitian():
+    for d in range(2, 7):
+        u = _hermitian_basis(d)
+        assert u.shape == (d * d, d * d) and not u.flags.writeable
+        assert np.abs(u.conj().T @ u - np.eye(d * d)).max() < 1e-15
+        for col in u.T:
+            f = devectorize(col, d)
+            assert np.array_equal(f, f.conj().T)
+
+
+def test_rate_reports_match_complex_eigvals():
+    # random CCP and signed-rate specs for d = 2..6 and the tanh L(t) stack:
+    # every eigenvalue, rate and flag of the real form within 1e-12 relative
+    rng = np.random.default_rng(21)
+    stacks = [np.stack([build_superoperator(ccp_spec(seed, d)).matrix for seed in range(3)])
+              for d in range(2, 7)]
+    stacks += [np.stack([build_superoperator(GeneratorSpec(
+        hamiltonian=random_hermitian(rng, d),
+        jumps=tuple((rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), rate)
+                    for rate in rng.uniform(-1, 1, d * d - 1)))).matrix for _ in range(3)])
+        for d in range(2, 7)]
+    stacks.append(builtin_tanh_example(0.6).matrices(np.linspace(0.0, 3.0, 7)))
+    for stack in stacks:
+        for m, rr in zip(stack, rate_reports(stack)):
+            scale = 1e-12 * max(1.0, np.linalg.norm(m, 2))
+            vals, rates = complex_rate_reference(m)
+            got = np.array(rr.eigenvalues)
+            assert max(np.abs(got - v).min() for v in vals) <= scale
+            assert np.allclose(rr.rates, rates, rtol=0, atol=scale)
+            assert abs(rr.rate_sum - sum(rates)) <= scale and not rr.defective_zero
+            # non-real eigenvalues come in exact conjugate pairs
+            assert sorted(got.tolist(), key=lambda z: (z.real, z.imag)) == sorted(
+                got.conj().tolist(), key=lambda z: (z.real, z.imag))
+    assert any(rr.unstable for rr in rate_reports(stacks[5]))
+
+
+def test_real_form_rejects_non_hermiticity_preserving_maps():
+    with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+        rate_reports(1j * np.eye(4)[None])
+    with pytest.raises(ValueError, match="not Hermiticity-preserving"):
+        relaxation_rates(Superoperator(d=2, matrix=1j * np.eye(4)))
+    # an all-real spectrum still comes back complex
+    vals, _ = hp_spectrum(build_superoperator(pauli_spec(2.0, 2.0, -1.0)).matrix[None])
+    assert vals.dtype == complex and np.array_equal(vals.imag, np.zeros((1, 4)))
 
 def test_stationary_states_dephasing():
     m0, faithful = stationary_states(build_superoperator(dephasing_spec()))
