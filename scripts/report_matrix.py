@@ -16,6 +16,9 @@ import pathlib
 import sys
 
 STATIC = ("dephasing", "pauli_111", "pauli_111-1", "pauli_22-1")
+# on signed_d3 (d = 3, one negative rate), the only static spec whose sampled
+# checks build d = 3 kernels
+D3_CHECKS = (["--k", "1"], ["--k", "2"], ["--k", "3"], ["--dissipative"], ["--ccp"])
 TANH = ("tanh_0", "tanh_025", "tanh_06")
 CLASSES = ("cp", "2p", "schwarz", "positive")
 CHECKS = (["--ccp"], ["--k", "1"], ["--k", "2"], ["--dissipative"],
@@ -55,6 +58,7 @@ def matrix(fixtures: str) -> list[list[str]]:
              "--grid", "3", "--steps", "20", "--samples", "8"],
             ["sample", "--d", "3", "--count", "40", "--class-check", "2p"]]
     runs += [run + ["--format", "text"] for run in text]
+    runs += [["check", f"{fixtures}/signed_d3.json"] + flags for flags in D3_CHECKS]
     return runs
 
 

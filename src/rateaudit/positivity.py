@@ -7,25 +7,27 @@ replayable) but never certify a pass.  The variance-contractivity check is
 exact: its gap is one Hermitian form, so one eigensolve certifies either way.
 
 All four sampled checks minimise one kind of objective, b^dag F(a) b over unit
-vectors a and b, where F(a) is Hermitian and, for fixed b, the value is a
-Hermitian quadratic form a^dag G(b) a.  `_alternating_min` solves it by
+vectors a in C^n and b in C^m.  The value is (a (x) b)^dag W (a (x) b) for one
+Hermitian kernel W of side n m, built once per problem as an (n, m, n, m)
+tensor, so F(a) (m x m) and, for fixed b, the form G(b) (n x n) with
+a^dag G(b) a the same value are two fixed transposes of W applied to
+vec(|a><a|) and vec(|b><b|) (`_forms`).  `_alternating_min` minimises by
 alternating exact lowest-eigenvector solves, so the value never increases.
 It works on an (R, n) stack of restarts: each half-step is one stacked form
-(one matmul for every live restart) and one stacked eigh, and a per-restart
-mask retires each restart under the stop rule, so every restart runs the
-rounds it would run alone.  Each product is a per-row matrix-vector product,
-so a restart's numbers do not depend on the rest of the stack.  A stack of R
-forms of side n holds R n^2 complex numbers, and a half-step keeps a few such
-stacks alive at once.  The two kinds of objective:
+and one stacked eigh, and a per-restart mask retires each restart under the
+stop rule, so every restart runs the rounds it would run alone.  Each product
+is a per-row matrix-vector product, so a restart's numbers do not depend on
+the rest of the stack.  A stack of R forms of side n holds R n^2 complex
+numbers, and a half-step keeps a few such stacks alive at once.  The kernels:
 
-- (conditional) k-positivity: a = phi, b = psi in C^(k d),
-  F(phi) = (id_k (x) L)(|phi><phi|) and G(psi) = devec(ext^dag vec|psi><psi|),
-  O(n^4) each.  The conditional test keeps psi _|_ phi by solving each
-  half-step in an orthonormal basis of the other vector's complement.
-- Schwarz and dissipativity (Heisenberg matrix M): a = vec(X), b = v in C^d,
-  F(X) is the defect matrix, and v^dag D(X) v = x^dag G(v) x with
-  G(v) = conj(R) (x) I - B^dag C - C^dag B, R = Phi^*(|v><v|),
-  B = (v^T (x) I) M and C = (v^T (x) I) K.  K = M / 2 gives the Schwarz defect
+- (conditional) k-positivity: a = phi, b = psi in C^(k d) and
+  F(phi) = (id_k (x) L)(|phi><phi|); W is an index permutation of
+  `extended_superoperator`.  The conditional test keeps psi _|_ phi by
+  solving each half-step in an orthonormal basis of the other vector's
+  complement.
+- Schwarz and dissipativity (Heisenberg matrix M): a = vec(X), b = v in C^d
+  and F(X) is the defect D(X) = Phi(X^dag X) - Phi(X)^dag K(X)
+  - K(X)^dag Phi(X), so W has side d^3.  K = M / 2 gives the Schwarz defect
   Phi(X^dag X) - Phi(X)^dag Phi(X); K = I gives the dissipation defect
   L(X^dag X) - L(X)^dag X - X^dag L(X) of a Hermiticity-preserving L.
 """
@@ -127,11 +129,6 @@ def _vec(m: np.ndarray) -> np.ndarray:
     return m.swapaxes(-1, -2).reshape(*m.shape[:-2], -1)
 
 
-def _devec(v: np.ndarray, d: int) -> np.ndarray:
-    # inverse of `_vec` on an (R, d^2) stack, a view
-    return v.reshape(*v.shape[:-1], d, d).swapaxes(-1, -2)
-
-
 def _adj(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
@@ -222,38 +219,48 @@ def _sampled_verdict(margin: float, witness, cfg: SamplerConfig, scale: float,
     )
 
 
+def _forms(w4: np.ndarray, scale: float):
+    """(F, G) of the kernel w4 (n, m, n, m) (see the module docstring) on (R, n)
+    stacks of a and (R, m) stacks of b.  Each form is symmetrized after its
+    Hermiticity residual is checked over the whole stack."""
+    n, m = w4.shape[:2]
+    wf = w4.transpose(1, 3, 0, 2).reshape(m * m, n * n)
+    wg = w4.transpose(0, 2, 1, 3).reshape(n * n, m * m)
+
+    def form(w, v, side):
+        h = _apply(w, _outer_vec(v)).reshape(-1, side, side)
+        herm = 0.5 * (h + _adj(h))
+        if np.linalg.norm(h - herm) > 1e-10 * scale:  # over the whole stack
+            raise AssertionError("sampled form is not Hermitian")
+        return herm
+
+    return (lambda a: form(wf, a, m)), (lambda b: form(wg, b, n))
+
+
+def _k_positivity_kernel(s: Superoperator, k: int) -> np.ndarray:
+    """Kernel (n, n, n, n), n = k d, of <psi|(id_k (x) Phi)(|phi><phi|)|psi>
+    over phi (x) psi: entry [p, q, r, t] is ext[t n + q, p n + r]."""
+    n = k * s.d
+    return extended_superoperator(s, k).reshape(n, n, n, n).transpose(2, 1, 3, 0)
+
+
 def _k_positivity_problem(s: Superoperator, k: int, cfg: SamplerConfig):
     """(F, G, starts, scale) of <psi|(id_k (x) Phi)(|phi><phi|)|psi> on
     (R, k d) stacks of phi and psi, with cfg's seeded random unit starts."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = k * s.d
     scale = max(1.0, s.norm())
-    ext = extended_superoperator(s, k)
-    ext_adj = ext.conj().T
-
-    def m_of_phi(phi):
-        m = _devec(_apply(ext, _outer_vec(phi)), n)
-        herm = 0.5 * (m + _adj(m))
-        if np.linalg.norm(m - herm) > 1e-10 * scale:  # over the whole stack
-            raise AssertionError("extended map is not Hermiticity-preserving")
-        return herm
-
-    def a_of_psi(psi):
-        a = _devec(_apply(ext_adj, _outer_vec(psi)), n)
-        return 0.5 * (a + _adj(a))
-
-    starts = np.array([_random_unit_vector(_restart_rng(cfg, r), n)
+    starts = np.array([_random_unit_vector(_restart_rng(cfg, r), k * s.d)
                        for r in range(cfg.n_restarts)])
-    return m_of_phi, a_of_psi, starts, scale
+    return (*_forms(_k_positivity_kernel(s, k), scale), starts, scale)
 
 
 def _k_positivity_verdict(s: Superoperator, k: int, cfg: SamplerConfig,
                           tol: ToleranceConfig, orthogonal: bool) -> PositivityVerdict:
     """Sampled minimum of <psi|(id_k (x) Phi)(|phi><phi|)|psi> over unit
     vectors, with psi _|_ phi when `orthogonal`; witness (phi, psi)."""
-    m_of_phi, a_of_psi, starts, scale = _k_positivity_problem(s, k, cfg)
-    best = _alternating_min(m_of_phi, a_of_psi, starts, cfg, scale, orthogonal)
+    f, g, starts, scale = _k_positivity_problem(s, k, cfg)
+    best = _alternating_min(f, g, starts, cfg, scale, orthogonal)
     return _sampled_verdict(best.value, (best.a, best.b), cfg, scale, tol)
 
 
@@ -298,44 +305,30 @@ def _matrix_unit_starts(d: int) -> list[np.ndarray]:
     return list(np.eye(d * d, dtype=complex).reshape(d * d, d, d))
 
 
+def _defect_kernel(m: Superoperator, cross: np.ndarray) -> np.ndarray:
+    """Kernel (d^2, d, d^2, d) of v^dag D(X) v over vec(X) (x) v, where
+    D(X) = Phi(X^dag X) - Phi(X)^dag K(X) - K(X)^dag Phi(X), Phi = m and
+    K = cross (both d^2 x d^2).  It is delta M4 - A^dag B - B^dag A, where
+    vec(X) (x) v maps to Phi(X) v under A and to K(X) v under B."""
+    d = m.d
+    # M4[c, r, C, R] = M[c d + r, C d + R], so Phi(X)[r, c] = sum M4[c, r, C, R] X[R, C]
+    m4, k4 = m.matrix.reshape(d, d, d, d), cross.reshape(d, d, d, d)
+    # v^dag Phi(X^dag X) v, with (X^dag X)[R, C] = sum_s conj(X[s, R]) X[s, C]
+    first = np.einsum("crCR,sS->RsrCSc", m4, np.eye(d)).reshape(d * d, d, d * d, d)
+    # (A^dag B)[(a, b), p, (C, R), q] = sum_u conj(M4[p, u, a, b]) K4[q, u, C, R]
+    ab = np.einsum("puab,quCR->abpCRq", m4.conj(), k4).reshape(d * d, d, d * d, d)
+    return first - (ab + ab.transpose(2, 3, 0, 1).conj())
+
+
 def _defect_problem(m: Superoperator, cross: np.ndarray, cfg: SamplerConfig):
-    """(F, G, starts, scale) of the defect objective on (R, d^2) stacks of
-    vec(X) and (R, d) stacks of v: F(X) = D(X) = Phi(X^dag X) - Phi(X)^dag K(X)
-    - K(X)^dag Phi(X) with Phi = m and K = cross (both d^2 x d^2), G(v) the form
-    of the module docstring; the starts are the matrix units, then cfg's
-    seeded random matrices."""
-    d, mat = m.d, m.matrix
-    scale = max(1.0, m.norm())
-    eye = np.eye(d, dtype=complex)
-    # Phi and K side by side, so one matmul applies both; row j d + i of a
-    # d^2-row matrix sits at [j, i]: (Y v)_i = sum_j v_j vec(Y)[j d + i]
-    pair = np.stack([mat, cross])
-    pair_rows = pair.reshape(2, d, d * d * d)
-    mat_adj = mat.conj().T
-
-    def minus_cross_terms(h, yz):
-        # h - Y^dag Z - Z^dag Y for the (R, 2, ., .) stack of pairs (Y, Z)
-        terms = _adj(yz) @ yz[:, ::-1]
-        return h - terms[:, 0] - terms[:, 1]
-
-    def defect_of_x(x):
-        xm = _devec(x, d)
-        yz = _devec(_apply(pair, x[:, None, :]), d)
-        out = minus_cross_terms(_devec(_apply(mat, _vec(_adj(xm) @ xm)), d), yz)
-        return 0.5 * (out + _adj(out))
-
-    def form_of_v(v):
-        r = _devec(_apply(mat_adj, _outer_vec(v)), d)
-        bc = (v[:, None, None, :] @ pair_rows).reshape(-1, 2, d, d * d)
-        # kron(conj(R), I) for every row of the stack
-        kron = (r.conj()[:, :, None, :, None] * eye[:, None, :]).reshape(-1, d * d, d * d)
-        g = minus_cross_terms(kron, bc)
-        return 0.5 * (g + _adj(g))
-
-    units = _matrix_unit_starts(d)
-    randoms = [_random_matrix(_restart_rng(cfg, r), d)
+    """(F, G, starts, scale) of the kernel of `_defect_kernel` on (R, d^2)
+    stacks of vec(X) and (R, d) stacks of v, so F(X) = D(X); the starts are
+    the matrix units, then cfg's seeded random matrices."""
+    units = _matrix_unit_starts(m.d)
+    randoms = [_random_matrix(_restart_rng(cfg, r), m.d)
                for r in range(len(units), len(units) + cfg.n_restarts)]
-    return defect_of_x, form_of_v, _vec(np.array(units + randoms)), scale
+    scale = max(1.0, m.norm())
+    return (*_forms(_defect_kernel(m, cross), scale), _vec(np.array(units + randoms)), scale)
 
 
 def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerConfig,
@@ -343,8 +336,8 @@ def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerCon
     """Sampled minimum of the least eigenvalue of the defect D(X) of
     `_defect_problem` over unit-Frobenius X; `defect(m, X)` is the public
     defect function that the reported margin is replayed with."""
-    defect_of_x, form_of_v, starts, scale = _defect_problem(m, cross, cfg)
-    witness = devectorize(_alternating_min(defect_of_x, form_of_v, starts, cfg, scale).a, m.d)
+    f, g, starts, scale = _defect_problem(m, cross, cfg)
+    witness = devectorize(_alternating_min(f, g, starts, cfg, scale).a, m.d)
     margin = float(np.linalg.eigvalsh(defect(m, witness))[0])
     return _sampled_verdict(margin, witness, cfg, scale, tol)
 

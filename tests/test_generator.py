@@ -223,7 +223,7 @@ def test_rate_sum_trace_rule():
 
 def test_spectrum_conjugation_closure():
     sup = build_superoperator(ccp_spec(13, 3))
-    vals = list(np.linalg.eigvals(sup.matrix))
+    vals = list(rate_reports(sup.matrix[None])[0].eigenvalues)
     for v in vals:
         if abs(v.imag) > 1e-8:
             assert min(abs(v.conjugate() - u) for u in vals) < 1e-8

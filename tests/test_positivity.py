@@ -23,7 +23,9 @@ from rateaudit.positivity import (
     PositivityVerdict,
     SamplerConfig,
     _alternating_min,
+    _defect_kernel,
     _defect_problem,
+    _k_positivity_kernel,
     _k_positivity_problem,
     _lowest,
     _matrix_unit_starts,
@@ -488,27 +490,52 @@ def test_engine_ties_go_to_the_earliest_restart():
     assert got.rounds[1] == got.rounds[2]
 
 
-def test_stacked_forms_match_the_public_maps():
+def _form_case(kind, d, k=None):
+    """((F, G), kernel, public F) of one sampled problem."""
+    one = SamplerConfig(n_restarts=1)
+    if k is not None:  # F(phi) = (id_k (x) Phi)(|phi><phi|)
+        sup = _non_ccp_generator(d, 1) if kind == "conditional" else _non_cp_channel(d, 5)
+        n, ext = k * d, extended_superoperator(sup, k)
+        return (_k_positivity_problem(sup, k, one)[:2], _k_positivity_kernel(sup, k),
+                lambda phi: (ext @ vectorize(np.outer(phi, phi.conj()))).reshape(n, n, order="F"))
+    if kind == "schwarz":
+        m = _schwarz_instance()
+        cross, defect = 0.5 * m.matrix, schwarz_defect
+    else:
+        m = adjoint_superoperator(_non_ccp_generator(d, 2))
+        cross, defect = np.eye(d * d, dtype=complex), dissipativity_defect
+    # F(x) = defect(m, X) for x = vec(X)
+    return (_defect_problem(m, cross, one)[:2], _defect_kernel(m, cross),
+            lambda x: defect(m, x.reshape(d, d, order="F")))
+
+
+FORM_CASES = [pytest.param("conditional", d, k, id=f"conditional_d{d}_k{k}")
+              for d, k in ((2, 1), (2, 2), (3, 2))]
+FORM_CASES += [pytest.param("map_level", d, k, id=f"map_level_d{d}_k{k}")
+               for d in (2, 3) for k in (1, 2)]
+FORM_CASES += [pytest.param("schwarz", 2, None, id="schwarz"),
+               pytest.param("dissipativity", 3, None, id="dissipativity")]
+
+
+@pytest.mark.parametrize("kind,d,k", FORM_CASES)
+def test_stacked_forms_match_the_public_maps(kind, d, k):
+    # on unit vectors: the kernel W is Hermitian, F(a) is the public map, and
+    # b^dag F(a) b = a^dag G(b) a = (a (x) b)^dag W (a (x) b)
+    (f, g), w4, public = _form_case(kind, d, k)
+    n, m = w4.shape[:2]
+    w = w4.reshape(n * m, n * m)
+    assert np.allclose(w, w.conj().T, rtol=0, atol=1e-12)
     rng = np.random.default_rng(23)
-    # k-positivity: F(phi) = (id_k (x) Phi)(|phi><phi|), psi^dag F(phi) psi = phi^dag G(psi) phi
-    sup = _non_ccp_generator(3, 1)
-    f, g, _, _ = _k_positivity_problem(sup, 2, SamplerConfig(n_restarts=1))
-    phi = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-    psi = rng.normal(size=(3, 6)) + 1j * rng.normal(size=(3, 6))
-    fs, gs = f(phi), g(psi)
-    ext = extended_superoperator(sup, 2)
-    for p, q, fp, gq in zip(phi, psi, fs, gs):
-        expected = (ext @ vectorize(np.outer(p, p.conj()))).reshape(6, 6, order="F")
-        assert np.allclose(fp, expected, rtol=0, atol=1e-12)
-        assert abs(q.conj() @ fp @ q - p.conj() @ gq @ p) < 1e-12
-    # Schwarz: F(x) = schwarz_defect(X), v^dag F(x) v = x^dag G(v) x
-    m = _schwarz_instance()
-    f, g, _, _ = _defect_problem(m, 0.5 * m.matrix, SamplerConfig(n_restarts=1))
-    x = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
-    v = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    for xr, vr, fx, gv in zip(x, v, f(x), g(v)):
-        assert np.allclose(fx, schwarz_defect(m, xr.reshape(2, 2, order="F")), rtol=0, atol=1e-12)
-        assert abs(vr.conj() @ fx @ vr - xr.conj() @ gv @ xr) < 1e-12
+    a = rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n))
+    b = rng.normal(size=(3, m)) + 1j * rng.normal(size=(3, m))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    for ar, br, fa, gb in zip(a, b, f(a), g(b)):
+        assert np.allclose(fa, public(ar), rtol=0, atol=1e-12)
+        value = br.conj() @ fa @ br
+        assert abs(value - ar.conj() @ gb @ ar) < 1e-12
+        x = np.kron(ar, br)
+        assert abs(value - x.conj() @ w @ x) < 1e-12
 
 
 def _complement_case(kind, r, n, rng):
