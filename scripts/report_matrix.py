@@ -58,7 +58,10 @@ def matrix(fixtures: str) -> list[list[str]]:
              "--grid", "3", "--steps", "20", "--samples", "8"],
             ["sample", "--d", "3", "--count", "40", "--class-check", "2p"]]
     runs += [run + ["--format", "text"] for run in text]
-    runs += [["check", f"{fixtures}/signed_d3.json"] + flags for flags in D3_CHECKS]
+    d3 = f"{fixtures}/signed_d3.json"
+    runs += [["check", d3] + flags for flags in D3_CHECKS]
+    # the only kms runs whose weight is not I/2: its eigenvalues are distinct
+    runs += [["kms", d3], ["kms", d3, "--epsilon", "0.1"]]
     return runs
 
 

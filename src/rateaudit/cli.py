@@ -31,9 +31,7 @@ from .generator import (
     stationary_states,
 )
 from .positivity import (
-    CERTIFIED_FAIL,
     NO_VIOLATION_FOUND,
-    VIOLATION_FOUND,
     SamplerConfig,
     check_ccp,
     check_conditional_k_positivity,
@@ -260,7 +258,7 @@ def cmd_check(args, sup, tol):
         "margins": [float(verdict.margin)],
         "details": {"mode": mode},
     }
-    if verdict.status in (CERTIFIED_FAIL, VIOLATION_FOUND):
+    if verdict.violated:
         return fields, EXIT_VIOLATION
     if verdict.status == NO_VIOLATION_FOUND and args.require_certified:
         return fields, EXIT_INCONCLUSIVE

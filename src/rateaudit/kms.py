@@ -5,20 +5,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import (
-    DEFAULT_TOL,
-    ToleranceConfig,
-    as_matrix,
-    frac_power_psd,
-    is_hermitian,
-)
+from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, is_hermitian
 from .generator import HEISENBERG, Superoperator, adjoint_superoperator
 
 
 class WeightedInnerProduct:
     """<A,B> = Tr(A^dag w^s B w^{1-s}) for a full-rank density w.
 
-    Matrix powers of the weight are cached at construction; instances are
+    One eigendecomposition w = V diag(lam) V^dag, taken at construction, gives
+    both the faithfulness test (least lam > psd_tol) and the cached powers
+    w^s, w^{1-s} and w^{-1/2}, each (V * lam**p) @ V^dag; instances are
     immutable afterwards.
     """
 
@@ -29,15 +25,15 @@ class WeightedInnerProduct:
         omega = 0.5 * (omega + omega.conj().T)
         if abs(np.trace(omega).real - 1.0) > 1e-10:
             raise ValueError("weight must have unit trace")
-        if float(np.linalg.eigvalsh(omega)[0]) <= tol.psd_tol:
+        vals, vecs = np.linalg.eigh(omega)
+        if float(vals[0]) <= tol.psd_tol:
             raise ValueError("weight must be strictly positive (faithful)")
         if not (0.0 <= s <= 1.0):
             raise ValueError("s must lie in [0, 1]")
         self.omega = omega
         self.s = float(s)
-        self.w_s = frac_power_psd(omega, self.s, tol)
-        self.w_1ms = frac_power_psd(omega, 1.0 - self.s, tol)
-        self.isqrt = frac_power_psd(omega, -0.5, tol)
+        self.w_s, self.w_1ms, self.isqrt = (
+            (vecs * vals**p) @ vecs.conj().T for p in (self.s, 1.0 - self.s, -0.5))
 
     @property
     def d(self) -> int:

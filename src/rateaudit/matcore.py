@@ -136,40 +136,22 @@ def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def psd_min_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
-    """Minimal eigenvalue test for (near-)Hermitian matrices.
+    """Least eigenpair of a (near-)Hermitian matrix, with the scale of its test.
 
-    Returns (min_eigenvalue, is_psd, witness eigenvector).  Inputs that are
-    Hermitian only up to hermiticity_tol (e.g. floating-point Choi matrices)
-    are symmetrized before the eigensolve; anything worse is rejected.
+    Returns (min_eigenvalue, scale, witness eigenvector), where
+    scale = max(1, max |eigenvalue|) is the spectral norm read off the same
+    eigensolve; `positivity._verdict` decides pass or fail from it.  Inputs
+    that are Hermitian only up to hermiticity_tol (e.g. floating-point Choi
+    matrices) are symmetrized before the eigensolve; anything worse is
+    rejected.
     """
     m = _require_square(m)
     if not is_hermitian(m, tol):
         raise ValueError("matrix is not Hermitian within hermiticity_tol")
-    h = 0.5 * (m + m.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    min_eig = float(vals[0])
-    is_psd = min_eig >= -tol.psd_tol * max(1.0, spectral_norm(h))
-    return min_eig, is_psd, vecs[:, 0].copy()
-
-
-def frac_power_psd(m, p: float, tol: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """m**p via the spectral decomposition of a Hermitian PSD matrix."""
-    m = _require_square(m)
-    if not is_hermitian(m, tol):
-        raise ValueError("fractional power requires a Hermitian matrix")
-    h = 0.5 * (m + m.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    scale = max(1.0, float(np.max(np.abs(vals))) if vals.size else 1.0)
-    thresh = tol.psd_tol * scale
-    if p != int(p) and np.any(vals < -thresh):
-        raise ValueError("negative eigenvalue with non-integer power")
-    if p < 0 and np.any(vals <= thresh):
-        raise ValueError("singular matrix with negative power")
-    if p == int(p) and p >= 0:
-        powered = vals**p  # integer powers tolerate indefinite spectra
-    else:
-        powered = np.clip(vals, 0.0 if p >= 0 else thresh, None) ** p
-    return (vecs * powered) @ vecs.conj().T
+    # the sum can overflow for entries near the float maximum
+    vals, vecs = np.linalg.eigh(require_finite(0.5 * (m + m.conj().T)))
+    lo, hi = float(vals[0]), float(vals[-1])  # eigh sorts ascending
+    return lo, max(1.0, -lo, hi), vecs[:, 0].copy()
 
 
 def numerical_kernel(m, tol: ToleranceConfig = DEFAULT_TOL):

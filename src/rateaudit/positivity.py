@@ -67,6 +67,25 @@ class PositivityVerdict:
         return self.status in (CERTIFIED_FAIL, VIOLATION_FOUND)
 
 
+# the verdict of a check whose test does not apply to the map (margin NaN)
+_NOT_APPLICABLE = PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
+
+
+def _verdict(margin: float, scale: float, witness, tol: ToleranceConfig,
+             samples: int = 0) -> PositivityVerdict:
+    """The one status rule: a check fails iff margin < -psd_tol * scale, so a
+    margin on the threshold passes.  An exact test (samples == 0) is
+    certified either way; a sampled one that ran `samples` restarts can only
+    find a violation or find none."""
+    failed = margin < -tol.psd_tol * scale
+    if samples == 0:
+        status = CERTIFIED_FAIL if failed else CERTIFIED_PASS
+    else:
+        status = VIOLATION_FOUND if failed else NO_VIOLATION_FOUND
+    return PositivityVerdict(status=status, margin=margin, witness=witness,
+                             samples_used=samples)
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     n_restarts: int = 64
@@ -103,10 +122,7 @@ def check_ccp(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Positivit
     d = s.d
     c = s.d**2 * choi(s)
     q = np.eye(d * d, dtype=complex) - maximally_entangled_projector(d)
-    projected = q @ c @ q
-    min_eig, is_psd, witness = psd_min_eig(projected, tol)
-    status = CERTIFIED_PASS if is_psd else CERTIFIED_FAIL
-    return PositivityVerdict(status=status, margin=min_eig, witness=witness)
+    return _verdict(*psd_min_eig(q @ c @ q, tol), tol)
 
 
 def extended_superoperator(s: Superoperator, k: int) -> np.ndarray:
@@ -210,15 +226,6 @@ def _alternating_min(f_of_a, g_of_b, starts: np.ndarray, cfg: SamplerConfig,
     return _Minimum(float(out_val[best]), out_a[best], out_b[best], best, rounds)
 
 
-def _sampled_verdict(margin: float, witness, cfg: SamplerConfig, scale: float,
-                     tol: ToleranceConfig) -> PositivityVerdict:
-    status = VIOLATION_FOUND if margin < -tol.psd_tol * scale else NO_VIOLATION_FOUND
-    return PositivityVerdict(
-        status=status, margin=margin, witness=witness,
-        samples_used=cfg.n_restarts,
-    )
-
-
 def _forms(w4: np.ndarray, scale: float):
     """(F, G) of the kernel w4 (n, m, n, m) (see the module docstring) on (R, n)
     stacks of a and (R, m) stacks of b.  Each form is symmetrized after its
@@ -261,7 +268,7 @@ def _k_positivity_verdict(s: Superoperator, k: int, cfg: SamplerConfig,
     vectors, with psi _|_ phi when `orthogonal`; witness (phi, psi)."""
     f, g, starts, scale = _k_positivity_problem(s, k, cfg)
     best = _alternating_min(f, g, starts, cfg, scale, orthogonal)
-    return _sampled_verdict(best.value, (best.a, best.b), cfg, scale, tol)
+    return _verdict(best.value, scale, (best.a, best.b), tol, cfg.n_restarts)
 
 
 def check_conditional_k_positivity(
@@ -339,7 +346,7 @@ def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerCon
     f, g, starts, scale = _defect_problem(m, cross, cfg)
     witness = devectorize(_alternating_min(f, g, starts, cfg, scale).a, m.d)
     margin = float(np.linalg.eigvalsh(defect(m, witness))[0])
-    return _sampled_verdict(margin, witness, cfg, scale, tol)
+    return _verdict(margin, scale, witness, tol, cfg.n_restarts)
 
 
 def _too_large(residual: float, m: Superoperator) -> bool:
@@ -418,15 +425,13 @@ def check_map_class(
     when that map is not unital.
     """
     if map_class == "cp":
-        min_eig, is_psd, witness = psd_min_eig(choi(m), tol)
-        status = CERTIFIED_PASS if is_psd else CERTIFIED_FAIL
-        return PositivityVerdict(status=status, margin=min_eig, witness=witness)
+        return _verdict(*psd_min_eig(choi(m), tol), tol)
     if map_class in ("2p", "positive"):
         k = 2 if map_class == "2p" else 1
         return _k_positivity_verdict(m, k, cfg, tol, orthogonal=False)
     if map_class == "schwarz":
         if non_unital(m):
-            return PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
+            return _NOT_APPLICABLE
         return _defect_verdict(m, 0.5 * m.matrix, schwarz_defect, cfg, tol)
     raise ValueError(f"unknown map class {map_class!r}")
 
@@ -452,14 +457,12 @@ def variance_contractivity_check(
     if _too_large(np.linalg.norm(schro.apply(omega) - omega), m_heis):
         raise ValueError("omega is not invariant under the Schroedinger map")
     if non_unital(m_heis):
-        return PositivityVerdict(status=NOT_APPLICABLE, margin=float("nan"))
+        return _NOT_APPLICABLE
     d, mat = m_heis.d, m_heis.matrix
     w = vectorize(omega)
     v = np.kron(omega.T, np.eye(d)) - np.outer(w, w.conj())
     g = v - mat.conj().T @ v @ mat
     g = 0.5 * (g + g.conj().T)
     vals, vecs = _lowest(g[None], vectorize(np.eye(d))[None] / np.sqrt(d))
-    margin, a = float(vals[0]), vecs[0]
-    is_psd = margin >= -tol.psd_tol * max(1.0, np.linalg.norm(g, 2))
-    return PositivityVerdict(status=CERTIFIED_PASS if is_psd else CERTIFIED_FAIL,
-                             margin=margin, witness=devectorize(a, d))
+    return _verdict(float(vals[0]), max(1.0, np.linalg.norm(g, 2)),
+                    devectorize(vecs[0], d), tol)

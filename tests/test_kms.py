@@ -42,6 +42,20 @@ def test_weight_validation():
         WeightedInnerProduct(np.eye(2) / 2, s=1.5)
 
 
+@pytest.mark.parametrize("s", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_weight_powers(d, s):
+    """The powers w^s, w^{1-s}, w^{-1/2} of one eigendecomposition."""
+    omega = random_density(np.random.default_rng(10 * d + int(10 * s)), d)
+    w = WeightedInnerProduct(omega, s=s)
+    assert np.linalg.norm(w.w_s @ w.w_1ms - omega) < 1e-12
+    assert np.linalg.norm(w.isqrt @ omega @ w.isqrt - np.eye(d)) < 1e-12
+    for power, p in ((w.w_s, s), (w.w_1ms, 1.0 - s), (w.isqrt, -0.5)):
+        assert np.linalg.norm(power - scipy.linalg.fractional_matrix_power(omega, p)) < 1e-12
+    if s == 0.5:
+        assert w.w_s.tobytes() == w.w_1ms.tobytes()
+
+
 def test_s_inner_unit_trace():
     rng = np.random.default_rng(0)
     omega = random_density(rng, 3)

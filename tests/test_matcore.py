@@ -12,7 +12,6 @@ from rateaudit.matcore import (
     devectorize,
     eig_general,
     expm,
-    frac_power_psd,
     is_hermitian,
     numerical_kernel,
     psd_min_eig,
@@ -157,16 +156,36 @@ def test_is_hermitian_matrices_and_stacks():
 
 
 def test_psd_min_eig_basic():
-    val, ok, _ = psd_min_eig(np.eye(3))
-    assert val == pytest.approx(1.0) and ok
-    val, ok, wit = psd_min_eig(np.diag([1.0, -0.5]))
-    assert val == pytest.approx(-0.5) and not ok
+    tol = DEFAULT_TOL.psd_tol
+    val, scale, _ = psd_min_eig(np.eye(3))
+    assert val == pytest.approx(1.0) and val >= -tol * scale
+    val, scale, wit = psd_min_eig(np.diag([1.0, -0.5]))
+    assert val == pytest.approx(-0.5) and not val >= -tol * scale
     assert abs(abs(wit[1]) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("case", [4, 9, 16, "diag"])
+def test_psd_min_eig_scale_is_the_spectral_norm(case):
+    if case == "diag":  # max |lambda| = 5 is not max lambda = 1
+        h = np.diag([-5.0, 1.0]).astype(complex)
+    else:
+        rng = np.random.default_rng(case)
+        a = rng.normal(size=(case, case)) + 1j * rng.normal(size=(case, case))
+        h = 0.5 * (a + a.conj().T)
+    _, scale, _ = psd_min_eig(h)
+    want = max(1.0, np.linalg.norm(h, 2))
+    assert abs(scale - want) <= 1e-14 * want
 
 
 def test_psd_min_eig_rejects_non_hermitian():
     with pytest.raises(ValueError):
         psd_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_psd_min_eig_rejects_an_overflowing_symmetrization():
+    # exactly Hermitian and finite, but m + m^dag overflows: never a NaN margin
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="NaN/Inf"):
+        psd_min_eig(np.diag([1.5e308, 1.0]))
 
 
 def test_psd_min_eig_projected_choi_of_pauli():
@@ -175,8 +194,8 @@ def test_psd_min_eig_projected_choi_of_pauli():
     sup = build_superoperator(pauli_spec(1.0, 1.0, -1.0))
     c = 4.0 * choi(sup)
     q = np.eye(4) - maximally_entangled_projector(2)
-    val, ok, _ = psd_min_eig(q @ c @ q)
-    assert not ok and val < -1e-6
+    val, scale, _ = psd_min_eig(q @ c @ q)
+    assert not val >= -DEFAULT_TOL.psd_tol * scale and val < -1e-6
 
 
 @given(st.floats(-3.0, 3.0))
@@ -188,38 +207,6 @@ def test_psd_min_eig_shift_monotone(c):
     base, _, _ = psd_min_eig(h)
     shifted, _, _ = psd_min_eig(h + c * np.eye(4))
     assert shifted == pytest.approx(base + c, abs=1e-10)
-
-
-def test_frac_power_identity_and_diagonal():
-    for p in (0.3, 1.0, 2.0, -0.5):
-        assert np.allclose(frac_power_psd(np.eye(3), p), np.eye(3))
-    assert np.allclose(frac_power_psd(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
-
-
-def test_frac_power_inverse_square_root():
-    rng = np.random.default_rng(4)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    omega = a @ a.conj().T + 0.1 * np.eye(3)
-    omega /= np.trace(omega).real
-    prod = frac_power_psd(omega, 0.5) @ frac_power_psd(omega, -0.5)
-    assert np.linalg.norm(prod - np.eye(3)) < 1e-9
-
-
-def test_frac_power_addition_property():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    m = a @ a.conj().T
-    lhs = frac_power_psd(m, 0.3) @ frac_power_psd(m, 0.6)
-    assert np.linalg.norm(lhs - frac_power_psd(m, 0.9)) < 1e-8
-
-
-def test_frac_power_errors():
-    with pytest.raises(ValueError):
-        frac_power_psd(np.diag([1.0, -1.0]), 0.5)
-    with pytest.raises(ValueError):
-        frac_power_psd(np.diag([1.0, 0.0]), -1.0)
-    # integer powers of indefinite matrices are fine
-    assert np.allclose(frac_power_psd(np.diag([1.0, -1.0]), 2.0), np.eye(2))
 
 
 def test_numerical_kernel_zero_matrix():

@@ -13,7 +13,7 @@ from rateaudit.generator import (
     build_superoperator,
     pauli_spec,
 )
-from rateaudit.matcore import vectorize
+from rateaudit.matcore import DEFAULT_TOL, vectorize
 from rateaudit.positivity import (
     CERTIFIED_FAIL,
     CERTIFIED_PASS,
@@ -30,6 +30,7 @@ from rateaudit.positivity import (
     _lowest,
     _matrix_unit_starts,
     _vec,
+    _verdict,
     check_ccp,
     check_conditional_k_positivity,
     check_dissipativity,
@@ -368,6 +369,22 @@ def test_verdict_semantics():
     assert not PositivityVerdict(status=NO_VIOLATION_FOUND, margin=0.1).violated
     with pytest.raises(ValueError):
         SamplerConfig(n_restarts=0)
+
+
+@pytest.mark.parametrize("samples, statuses", [
+    (0, (CERTIFIED_PASS, CERTIFIED_FAIL)),
+    (SamplerConfig().n_restarts, (NO_VIOLATION_FOUND, VIOLATION_FOUND)),
+])
+@pytest.mark.parametrize("scale", [1.0, 37.5])
+def test_status_rule(samples, statuses, scale):
+    """A margin exactly on -psd_tol * scale passes; the next float below fails."""
+    edge = -DEFAULT_TOL.psd_tol * scale
+    passed = _verdict(edge, scale, "w", DEFAULT_TOL, samples)
+    failed = _verdict(np.nextafter(edge, -np.inf), scale, "w", DEFAULT_TOL, samples)
+    assert (passed.status, failed.status) == statuses
+    assert not passed.violated and failed.violated
+    assert passed.samples_used == failed.samples_used == samples
+    assert passed.margin == edge and passed.witness == "w"
 
 
 # --- the stacked alternating engine against the per-restart loop it replaced
