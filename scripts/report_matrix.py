@@ -62,6 +62,10 @@ def matrix(fixtures: str) -> list[list[str]]:
     runs += [["check", d3] + flags for flags in D3_CHECKS]
     # the only kms runs whose weight is not I/2: its eigenvalues are distinct
     runs += [["kms", d3], ["kms", d3, "--epsilon", "0.1"]]
+    # clock dephasing at d = 3 (m0 = 3): the only degenerate kernel beyond d = 2
+    clock = f"{fixtures}/clock_d3.json"
+    runs += [["steady", clock, "--class", c] for c in ("cp", "2p", "schwarz")]
+    runs += [["kms", clock], ["kms", clock, "--epsilon", "0.1"]]
     return runs
 
 

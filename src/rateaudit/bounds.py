@@ -8,7 +8,7 @@ from math import floor
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, numerical_kernel
+from .matcore import numerical_kernel
 from .generator import RateReport, Superoperator
 
 # canonical class names: "cp" and "2p" share the 1/d constant
@@ -71,12 +71,11 @@ def steady_state_bound(audit_class: str, d: int) -> Fraction:
     raise ValueError(f"no steady-state bound for class {audit_class!r}")
 
 
-def audit_steady_states(
-    s: Superoperator, audit_class: str, tol: ToleranceConfig = DEFAULT_TOL
-):
-    """Kernel dimension vs the class bound (integer comparison uses floor)."""
+def audit_steady_states(s: Superoperator, audit_class: str):
+    """Kernel dimension m0 of `numerical_kernel` vs the class bound (integer
+    comparison uses floor): (m0, bound, m0 <= floor(bound))."""
     if np.linalg.norm(s.matrix) <= 1e-14:
         raise ValueError("trivial generator: the steady-state bound assumes L != 0")
-    _, m0 = numerical_kernel(s.matrix, tol)
+    m0 = numerical_kernel(s.matrix)[0].shape[1]
     bound = steady_state_bound(audit_class, s.d)
     return m0, bound, m0 <= floor(bound)

@@ -350,9 +350,9 @@ def cmd_sample(args, _, tol):
     }, EXIT_PASS if n_pass == args.count else EXIT_VIOLATION
 
 
-def cmd_steady(args, sup, tol):
+def cmd_steady(args, sup, _):
     try:
-        m0, bound, within = audit_steady_states(sup, args.audit_class, tol)
+        m0, bound, within = audit_steady_states(sup, args.audit_class)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     return {
@@ -378,7 +378,7 @@ def cmd_kms(args, sup, tol):
     sharp = kms_adjoint(heis, w)
     sym = 0.5 * (heis.matrix + sharp.matrix)  # symmetrized_generator without a second L^#
     eye = np.eye(sup.d, dtype=complex)
-    sym_eigs = hp_spectrum(sym[None], tol)[0][0]
+    sym_eigs = hp_spectrum(sym[None])[0][0]
     lo, hi = bendixson_interval(heis.matrix)
     return {
         "details": {

@@ -8,11 +8,14 @@ import numpy as np
 
 from .matcore import (
     DEFAULT_TOL,
+    HERMITICITY_TOL,
+    RANK_TOL,
     ToleranceConfig,
     as_matrix,
     devectorize,
     expm,
     is_hermitian,
+    kernel_dimension,
     numerical_kernel,
     spectral_norm,
     vectorize,
@@ -176,16 +179,16 @@ def _hermitian_basis(d: int) -> np.ndarray:
     return u
 
 
-def hp_spectrum(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL):
+def hp_spectrum(m: np.ndarray):
     """Eigenvalues and singular values of each Hermiticity-preserving map M of an
     (N, d^2, d^2) stack, from its real form R = Re(U^dag M U), U = `_hermitian_basis(d)`.
     The eigenvalues are complex, sorted by (real part descending, imaginary part
-    ascending).  ValueError when ||Im(U^dag M U)||_F > hermiticity_tol max(1, ||R||)."""
+    ascending).  ValueError when ||Im(U^dag M U)||_F > HERMITICITY_TOL max(1, ||R||)."""
     u = _hermitian_basis(round(m.shape[-1] ** 0.5))
     full = u.conj().T @ m @ u
     svals = np.linalg.svd(full.real, compute_uv=False)
     skew = np.linalg.norm(full.imag, axis=(-2, -1))
-    limit = tol.hermiticity_tol * np.maximum(1.0, svals[:, 0])
+    limit = HERMITICITY_TOL * np.maximum(1.0, svals[:, 0])
     if np.any(skew > limit):
         i = np.argmax(skew > limit)
         raise ValueError(f"imaginary part {skew[i]:.3e} of the real form exceeds hermiticity_tol"
@@ -201,17 +204,17 @@ def rate_reports(m: np.ndarray, tol: ToleranceConfig = DEFAULT_TOL) -> list[Rate
     a map that is not Hermiticity-preserving; complex eigenvalues in exact conjugate
     pairs): one near-zero mode dropped, the rest negated; other copies of a
     degenerate zero stay as zero rates, which keeps sum(Gamma) = -Re Tr L exact.
-    The singular values give the scale max(1, ||L||) and, as in `numerical_kernel`,
-    the kernel dimension.
+    The singular values give the scale max(1, ||L||) and, by `kernel_dimension`
+    as in `numerical_kernel`, the kernel dimension.
     """
-    vals, svals = hp_spectrum(m, tol)
+    vals, svals = hp_spectrum(m)
     scale = np.maximum(1.0, svals[:, 0])
     resid = np.abs(vals.sum(axis=-1) - np.trace(m, axis1=-2, axis2=-1))
     zero_thresh = tol.psd_tol * scale
     mags = np.abs(vals)
     idx0 = np.argmin(mags, axis=-1)
     n_zero = np.sum(mags <= zero_thresh[:, None], axis=-1)
-    kdim = np.sum(svals <= tol.rank_tol * m.shape[-1] * svals[:, :1], axis=-1)
+    kdim = kernel_dimension(svals)
     reports = []
     for i, v in enumerate(vals.tolist()):
         if resid[i] > 1e-9 * scale[i]:  # the eigensolver lost accuracy
@@ -247,22 +250,19 @@ def _unit_trace(y: np.ndarray):
     return y / trace
 
 
-def _kernel_state(s: Superoperator, x: np.ndarray, tol: ToleranceConfig):
+def _kernel_state(s: Superoperator, x: np.ndarray):
     """Kernel dimension of s and P0 x as a unit-trace Hermitian matrix, where
     P0 = V (W^dag V)^{-1} W^dag projects onto ker s along the other spectral
-    subspaces (V, W orthonormal right and left kernels).  The state is None when
-    P0 does not exist (trivial kernel, kernels of unequal dimension, or W^dag V
+    subspaces (V, W the orthonormal right and left kernels of `numerical_kernel`).
+    The state is None when P0 does not exist (trivial kernel, or W^dag V
     singular: a defective zero mode) or the trace of P0 x vanishes."""
-    right, dim = numerical_kernel(s.matrix, tol)
+    v, w = numerical_kernel(s.matrix)
+    dim = v.shape[1]
     if dim == 0:
         return dim, None
-    left, left_dim = numerical_kernel(s.matrix.conj().T, tol)
-    if left_dim != dim:
-        return dim, None
-    v, w = np.column_stack(right), np.column_stack(left)
     overlap = w.conj().T @ v
     # V, W have orthonormal columns, so the singular values of W^dag V lie in [0, 1]
-    if np.linalg.svd(overlap, compute_uv=False)[-1] <= tol.rank_tol:
+    if np.linalg.svd(overlap, compute_uv=False)[-1] <= RANK_TOL:
         return dim, None
     y = devectorize(v @ np.linalg.solve(overlap, w.conj().T @ x), s.d)
     return dim, _unit_trace(y)
@@ -279,7 +279,7 @@ def stationary_states(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL):
     """
     if s.picture != SCHROEDINGER:
         raise ValueError("stationary_states expects the Schroedinger picture")
-    m0, x = _kernel_state(s, vectorize(np.eye(s.d) / s.d), tol)
+    m0, x = _kernel_state(s, vectorize(np.eye(s.d) / s.d))
     if x is None or np.linalg.eigvalsh(x)[0] <= tol.psd_tol:
         return m0, None
     return m0, x
@@ -321,7 +321,7 @@ def integral_stationary(s: Superoperator, sigma, T: float):
     out = _unit_trace(as_matrix(sigma))
     if out is not None and np.linalg.norm(s.apply(out)) <= stationary_tol:
         return out
-    _, out = _kernel_state(s, v0, DEFAULT_TOL)
+    _, out = _kernel_state(s, v0)
     if out is None:
         raise ValueError("the kernel projector P0 does not exist or P0(sigma) has zero trace")
     resid = np.linalg.norm(s.apply(out))

@@ -20,7 +20,7 @@ class WeightedInnerProduct:
 
     def __init__(self, omega, s: float = 0.5, tol: ToleranceConfig = DEFAULT_TOL):
         omega = as_matrix(omega)
-        if not is_hermitian(omega, tol):
+        if not is_hermitian(omega):
             raise ValueError("weight must be Hermitian")
         omega = 0.5 * (omega + omega.conj().T)
         if abs(np.trace(omega).real - 1.0) > 1e-10:

@@ -10,19 +10,21 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# the fixed, relative rules of `kernel_dimension` and `is_hermitian`
+RANK_TOL = 1e-10
+HERMITICITY_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Relative tolerances used by the spectral predicates."""
+    """The one settable tolerance (`--tol`): psd_tol, relative to the matrix
+    scale, of every positivity, faithfulness and zero-eigenvalue test."""
 
     psd_tol: float = 1e-9
-    rank_tol: float = 1e-10
-    hermiticity_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("psd_tol", "rank_tol", "hermiticity_tol"):
-            v = getattr(self, name)
-            if not (0.0 < v < 1.0):
-                raise ValueError(f"{name} must lie in (0, 1), got {v}")
+        if not (0.0 < self.psd_tol < 1.0):
+            raise ValueError(f"psd_tol must lie in (0, 1), got {self.psd_tol}")
 
 
 DEFAULT_TOL = ToleranceConfig()
@@ -124,29 +126,29 @@ def eig_general(m) -> list[tuple[complex, np.ndarray]]:
     return pairs
 
 
-def is_hermitian(m, tol: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """||m - m^dag||_2 <= hermiticity_tol max(1, ||m||_2), for m or each of a finite stack."""
+def is_hermitian(m) -> bool:
+    """||m - m^dag||_2 <= HERMITICITY_TOL max(1, ||m||_2), for m or each of a finite stack."""
     m = _require_square(m) if np.ndim(m) == 2 else m
     adj = m.conj().swapaxes(-1, -2)
     if np.array_equal(m, adj):  # exactly Hermitian: within any tolerance
         return True
     defect = np.linalg.norm(m - adj, 2, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(m, 2, axis=(-2, -1)))
-    return bool(np.all(defect <= tol.hermiticity_tol * scale))
+    return bool(np.all(defect <= HERMITICITY_TOL * scale))
 
 
-def psd_min_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
+def psd_min_eig(m):
     """Least eigenpair of a (near-)Hermitian matrix, with the scale of its test.
 
     Returns (min_eigenvalue, scale, witness eigenvector), where
     scale = max(1, max |eigenvalue|) is the spectral norm read off the same
     eigensolve; `positivity._verdict` decides pass or fail from it.  Inputs
-    that are Hermitian only up to hermiticity_tol (e.g. floating-point Choi
+    that are Hermitian only up to HERMITICITY_TOL (e.g. floating-point Choi
     matrices) are symmetrized before the eigensolve; anything worse is
     rejected.
     """
     m = _require_square(m)
-    if not is_hermitian(m, tol):
+    if not is_hermitian(m):
         raise ValueError("matrix is not Hermitian within hermiticity_tol")
     # the sum can overflow for entries near the float maximum
     vals, vecs = np.linalg.eigh(require_finite(0.5 * (m + m.conj().T)))
@@ -154,18 +156,17 @@ def psd_min_eig(m, tol: ToleranceConfig = DEFAULT_TOL):
     return lo, max(1.0, -lo, hi), vecs[:, 0].copy()
 
 
-def numerical_kernel(m, tol: ToleranceConfig = DEFAULT_TOL):
-    """Orthonormal basis of the right null space, via SVD.
+def kernel_dimension(svals: np.ndarray):
+    """Number of singular values that count as zero, sigma <= RANK_TOL * n *
+    sigma_max, in one descending vector of n or in each row of an (N, n) stack."""
+    return np.sum(svals <= RANK_TOL * svals.shape[-1] * svals[..., :1], axis=-1)
 
-    Singular values sigma <= rank_tol * max(rows, cols) * sigma_max count as
-    zero.  Returns (list of basis vectors, kernel dimension).
-    """
-    m = as_matrix(m)
-    _, svals, vh = np.linalg.svd(m)
-    smax = float(svals[0]) if svals.size else 0.0
-    thresh = tol.rank_tol * max(m.shape) * smax
-    n_small = int(np.sum(svals <= thresh))
-    # columns of V beyond the rank, plus any dimensions SVD did not cover
-    dim = m.shape[1] - (svals.size - n_small)
-    basis = [vh[i].conj().copy() for i in range(m.shape[1] - dim, m.shape[1])]
-    return basis, dim
+
+def numerical_kernel(m):
+    """Orthonormal bases (right, left), each (n, dim), of the right and left
+    null spaces of a square matrix, from one SVD m = U S V^dag: the columns of
+    V and of U whose singular values `kernel_dimension` counts as zero."""
+    m = _require_square(m)
+    u, svals, vh = np.linalg.svd(m)
+    rank = m.shape[0] - int(kernel_dimension(svals))
+    return vh[rank:].conj().T, u[:, rank:]

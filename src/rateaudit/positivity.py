@@ -122,7 +122,7 @@ def check_ccp(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Positivit
     d = s.d
     c = s.d**2 * choi(s)
     q = np.eye(d * d, dtype=complex) - maximally_entangled_projector(d)
-    return _verdict(*psd_min_eig(q @ c @ q, tol), tol)
+    return _verdict(*psd_min_eig(q @ c @ q), tol)
 
 
 def extended_superoperator(s: Superoperator, k: int) -> np.ndarray:
@@ -425,7 +425,7 @@ def check_map_class(
     when that map is not unital.
     """
     if map_class == "cp":
-        return _verdict(*psd_min_eig(choi(m), tol), tol)
+        return _verdict(*psd_min_eig(choi(m)), tol)
     if map_class in ("2p", "positive"):
         k = 2 if map_class == "2p" else 1
         return _k_positivity_verdict(m, k, cfg, tol, orthogonal=False)

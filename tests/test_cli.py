@@ -431,6 +431,15 @@ def test_steady(capsys, fixtures, tmp_path):
     assert code == EXIT_USAGE and "no steady-state bound" in err
 
 
+def test_steady_ignores_tol(capsys, fixtures):
+    # m0 comes from the fixed rank rule: --tol sets only psd_tol, which steady never reads
+    spec = str(fixtures / "dephasing.json")
+    reports = [run(capsys, "steady", spec, "--class", "cp", *flags)
+               for flags in ([], ["--tol", "0.5"], ["--tol", "1e-15"])]
+    assert reports[0][0] == EXIT_PASS and json.loads(reports[0][1])["details"]["m0"] == 2
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
 def test_steady_schwarz_floor_d3(capsys, tmp_path):
     om = np.exp(2j * np.pi / 3)
     u = np.diag([1.0, om, om**2])

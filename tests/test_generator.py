@@ -26,7 +26,7 @@ from rateaudit.generator import (
     stationary_states,
     superoperator_from_choi,
 )
-from rateaudit.matcore import devectorize, vectorize
+from rateaudit.matcore import devectorize, kernel_dimension, numerical_kernel, vectorize
 from rateaudit.timedep import builtin_tanh_example
 
 
@@ -363,6 +363,28 @@ def test_defective_zero_has_no_faithful_state():
     assert m0 == 3 and faithful is None
     m0, faithful = stationary_states(regularize_faithful(nilpotent, 0.1))
     assert m0 == 1 and np.linalg.norm(faithful - np.eye(2) / 2) < 1e-12
+
+
+def _rank_rule_cases():
+    clock = np.diag(np.exp(2j * np.pi * np.arange(3) / 3))
+    nilpotent = np.outer(vectorize(SIGMA_Z), vectorize(SIGMA_X).conj())
+    yield pytest.param(build_superoperator(dephasing_spec()), 2, id="dephasing")
+    yield pytest.param(build_superoperator(GeneratorSpec(np.zeros((3, 3)), ((clock, 1.0),))),
+                       3, id="clock_d3")
+    yield pytest.param(Superoperator(d=2, matrix=np.zeros((4, 4), dtype=complex)), 4, id="zero")
+    yield pytest.param(Superoperator(d=2, matrix=nilpotent), 3, id="nilpotent")
+    for d in (2, 3):  # a random CCP generator has a unique steady state
+        for seed in range(10):
+            yield pytest.param(build_superoperator(ccp_spec(seed, d)), 1, id=f"ccp_{d}_{seed}")
+
+
+@pytest.mark.parametrize("s, m0", _rank_rule_cases())
+def test_rank_rule_agrees_everywhere(s, m0):
+    # the singular values of the real form (rate_reports' defective_zero), the
+    # kernel bases and stationary_states all read m0 from one rank rule
+    assert int(kernel_dimension(hp_spectrum(s.matrix[None])[1])[0]) == m0
+    assert numerical_kernel(s.matrix)[0].shape[1] == m0
+    assert stationary_states(s)[0] == m0
 
 
 def test_regularize_faithful():

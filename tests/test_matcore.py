@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 from rateaudit.generator import build_superoperator, pauli_spec
 from rateaudit.matcore import (
     DEFAULT_TOL,
+    HERMITICITY_TOL,
+    RANK_TOL,
     ToleranceConfig,
     as_matrix,
     devectorize,
@@ -23,9 +25,10 @@ def test_tolerance_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(psd_tol=0.0)
     with pytest.raises(ValueError):
-        ToleranceConfig(rank_tol=1.5)
+        ToleranceConfig(psd_tol=1.0)
     cfg = ToleranceConfig()
-    assert cfg.psd_tol == 1e-9 and cfg.rank_tol == 1e-10
+    assert cfg.psd_tol == 1e-9 and ToleranceConfig(psd_tol=0.5).psd_tol == 0.5
+    assert RANK_TOL == 1e-10 and HERMITICITY_TOL == 1e-10
 
 
 def test_as_matrix_rejects_nonfinite():
@@ -150,7 +153,13 @@ def test_is_hermitian_matrices_and_stacks():
     off = near.copy()
     off[3] += 1e-6 * a[3]
     assert not is_hermitian(off[3]) and not is_hermitian(off)
-    assert is_hermitian(off[3], ToleranceConfig(hermiticity_tol=1e-5))
+    # the boundary of the rule: a defect at half of HERMITICITY_TOL * scale
+    # passes, one at twice that fails
+    skew = 1j * np.eye(3)  # anti-Hermitian, ||skew - skew^dag||_2 = 2
+    scale = max(1.0, np.linalg.norm(herm[3], 2))
+    for factor, want in ((0.5, True), (2.0, False)):
+        m = herm[3] + 0.5 * factor * HERMITICITY_TOL * scale * skew
+        assert is_hermitian(m) == want
     with pytest.raises(ValueError):
         is_hermitian(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
@@ -210,8 +219,10 @@ def test_psd_min_eig_shift_monotone(c):
 
 
 def test_numerical_kernel_zero_matrix():
-    basis, dim = numerical_kernel(np.zeros((3, 3)))
-    assert dim == 3 and len(basis) == 3
+    right, left = numerical_kernel(np.zeros((3, 3)))
+    dim = right.shape[1]
+    assert dim == 3 and right.shape == left.shape == (3, 3)
+    assert np.allclose(left.conj().T @ left, np.eye(3), atol=1e-12)
 
 
 def test_numerical_kernel_dephasing():
@@ -219,25 +230,35 @@ def test_numerical_kernel_dephasing():
 
     spec = GeneratorSpec(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_Z, 1.0),))
     sup = build_superoperator(spec)
-    basis, dim = numerical_kernel(sup.matrix)
-    assert dim == 2
+    right, left = numerical_kernel(sup.matrix)
+    dim = right.shape[1]
+    assert dim == 2 and left.shape == (4, 2)
     span = np.column_stack([vectorize(np.eye(2)), vectorize(np.diag([1.0, -1.0]))])
-    for v in basis:
+    for v in right.T:
         # each kernel vector lies in span{vec(I), vec(sigma_z)}
         coef, res, _, _ = np.linalg.lstsq(span, v, rcond=None)
         assert np.linalg.norm(span @ coef - v) < 1e-10
+    assert np.allclose(left.conj().T @ left, np.eye(dim), atol=1e-12)
+    smax = np.linalg.svd(sup.matrix, compute_uv=False)[0]
+    for w in left.T:
+        assert np.linalg.norm(sup.matrix.conj().T @ w) <= 10 * RANK_TOL * smax
 
 
 def test_numerical_kernel_full_rank_and_residuals():
     rng = np.random.default_rng(6)
     m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    _, dim = numerical_kernel(m)
-    assert dim == 0
-    # rank-deficient case: orthonormal basis with small residuals
+    right, left = numerical_kernel(m)
+    dim = right.shape[1]
+    assert dim == 0 and left.shape == (4, 0)
+    # rank-deficient case: orthonormal bases with small residuals
     m[:, 3] = m[:, 0]
-    basis, dim = numerical_kernel(m)
-    assert dim == 1
+    right, left = numerical_kernel(m)
+    dim = right.shape[1]
+    assert dim == 1 and left.shape == (4, 1)
     smax = np.linalg.svd(m, compute_uv=False)[0]
-    for v in basis:
+    for v in right.T:
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        assert np.linalg.norm(m @ v) <= 10 * DEFAULT_TOL.rank_tol * smax
+        assert np.linalg.norm(m @ v) <= 10 * RANK_TOL * smax
+    assert np.allclose(left.conj().T @ left, np.eye(dim), atol=1e-12)
+    for w in left.T:
+        assert np.linalg.norm(m.conj().T @ w) <= 10 * RANK_TOL * smax
