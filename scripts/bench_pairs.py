@@ -7,7 +7,19 @@ For every seed from A to B it runs `bench/run.py --workload W --seed N
 side that runs first alternates from seed to seed, PARENT first on A.
 Then, for each end-to-end metric that CHANGE's BENCHMARK.json names, it
 prints the parent's and the change's medians, the parent's quartiles and
-the number of pairs the change wins (ties count for neither side).
+the number of pairs the change wins (ties count for neither side), and
+after that table one verdict per metric, with `bound` the metric's relative
+regression bound in BENCHMARK.json and the parent's IQR the distance
+between its quartiles:
+
+  better        the change wins at least 9 in 10 pairs and its median is
+                better than the parent's by more than the parent's IQR;
+  worse         the change's median is worse than the parent's by more
+                than bound times the parent's median;
+  unresolved    the parent's IQR is wider than bound times its median, so
+                the runs spread too widely to tell;
+  within bound  otherwise.
+
 Exits 1 if any run reports `correct: false`.
 """
 from __future__ import annotations
@@ -40,22 +52,41 @@ def run_bench(root: pathlib.Path, workload: str, seed: int, seconds: float) -> d
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def compare(metric: dict, pairs: list[tuple[dict, dict]]) -> tuple:
+    """(parent median, change median, parent q1, parent q3, change wins) of
+    one metric over (parent result, change result) pairs."""
+    values = [[result["metrics"][metric["name"]]["value"] for result in pair] for pair in pairs]
+    parent, change = zip(*values)
+    sign = 1 if metric["better"] == "higher" else -1
+    wins = sum(sign * (c - p) > 0 for p, c in values)
+    q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
+                 if len(parent) > 1 else parent * 3)
+    return statistics.median(parent), statistics.median(change), q1, q3, wins
+
+
 def summarize(metrics: list[dict], pairs: list[tuple[dict, dict]]) -> list[str]:
     """One line per metric over (parent result, change result) pairs."""
     lines = [f"{'metric':<18} {'parent med':>11} {'change med':>11} "
              f"{'parent q1':>11} {'parent q3':>11}  change wins"]
     for metric in metrics:
-        name = metric["name"]
-        values = [[result["metrics"][name]["value"] for result in pair] for pair in pairs]
-        parent, change = zip(*values)
-        sign = 1 if metric["better"] == "higher" else -1
-        wins = sum(sign * (c - p) > 0 for p, c in values)
-        q1, _, q3 = (statistics.quantiles(parent, n=4, method="inclusive")
-                     if len(parent) > 1 else parent * 3)
-        lines.append(f"{name:<18} {statistics.median(parent):>11.5g} "
-                     f"{statistics.median(change):>11.5g} {q1:>11.5g} {q3:>11.5g}  "
-                     f"{wins}/{len(values)}")
+        parent, change, q1, q3, wins = compare(metric, pairs)
+        lines.append(f"{metric['name']:<18} {parent:>11.5g} {change:>11.5g} "
+                     f"{q1:>11.5g} {q3:>11.5g}  {wins}/{len(pairs)}")
     return lines
+
+
+def verdict(metric: dict, pairs: list[tuple[dict, dict]]) -> str:
+    """`better`, `worse`, `unresolved` or `within bound`, as the module docstring defines them."""
+    parent, change, q1, q3, wins = compare(metric, pairs)
+    gain = (change - parent) * (1 if metric["better"] == "higher" else -1)
+    allowed = metric["bound"] * abs(parent)
+    if 10 * wins >= 9 * len(pairs) and gain > q3 - q1:
+        return "better"
+    if -gain > allowed:
+        return "worse"
+    if q3 - q1 > allowed:
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv: list[str]) -> int:
@@ -78,6 +109,8 @@ def main(argv: list[str]) -> int:
     print(f"{args.workload}: {len(pairs)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"{args.seconds:g} s runs")
     print("\n".join(summarize(config["end_to_end"], pairs)))
+    for metric in config["end_to_end"]:
+        print(f"{metric['name']:<18} verdict: {verdict(metric, pairs)}")
     if wrong:
         print("correct: false in " + ", ".join(wrong))
         return 1

@@ -4,11 +4,12 @@ Usage: python scripts/report_drift.py OLD NEW
 
 For each report file that differs it prints the largest relative numeric
 drift |new - old| / max(1, |old|), with the drift of witness fields listed
-separately.  Exits 1 if a file is missing on either side, or if any argv,
-exit code, stderr line, status or other non-numeric field differs, or if a
-number outside a witness drifts by more than 1e-12 max(1, |old|); exits 0
-otherwise.  Witness drift is reported but not judged: a witness may move
-within a degenerate eigenspace, and is checked by replaying it.
+separately.  Exits 1 if a directory is missing or neither holds a report,
+if a file is missing on either side, or if any argv, exit code, stderr
+line, status or other non-numeric field differs, or if a number outside a
+witness drifts by more than 1e-12 max(1, |old|); exits 0 otherwise.
+Witness drift is reported but not judged: a witness may move within a
+degenerate eigenspace, and is checked by replaying it.
 """
 from __future__ import annotations
 
@@ -105,7 +106,10 @@ def main(argv: list[str]) -> int:
     old_dir, new_dir = map(pathlib.Path, argv)
     old_names = {p.name for p in old_dir.glob("*.txt")}
     new_names = {p.name for p in new_dir.glob("*.txt")}
-    failed = False
+    missing = [d for d in (old_dir, new_dir) if not d.is_dir()]
+    for d in missing:
+        print(f"{d}: no such directory")
+    failed = bool(missing) or not old_names | new_names  # nothing compared is no pass
     for name in sorted(old_names ^ new_names):
         print(f"{name}: only in {old_dir if name in old_names else new_dir}")
         failed = True

@@ -45,41 +45,69 @@ def require_finite(a: np.ndarray) -> np.ndarray:
     return a
 
 
-# Degree-13 Pade coefficients b_0..b_13 and the 1-norm up to which the
-# approximant is exact to double precision (Higham, SIAM J. Matrix Anal. Appl.
-# 26:1179, 2005, Table 2.3).  Divided by b_0, so that V - U is exactly I at
-# a = 0 and the solve returns exactly I (LAPACK divides by a pivot through its
-# reciprocal, and 1 / b_0 * b_0 != 1).
-_PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+# Pade coefficients b_0..b_m of the degrees m = 3, 5, 7, 9, 13, and the 1-norm
+# up to which each approximant is exact to double precision (Higham, SIAM J.
+# Matrix Anal. Appl. 26:1179, 2005, Table 2.3).  Divided by b_0, so that V - U
+# is exactly I at a = 0 and the solve returns exactly I (LAPACK divides by a
+# pivot through its reciprocal, and 1 / b_0 * b_0 != 1).
+_PADE = tuple(tuple(c / b[0] for c in b) for b in (
+    (120.0, 60.0, 12.0, 1.0),
+    (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
+     110880.0, 3960.0, 90.0, 1.0),
+    (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)))
+_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068)
 _THETA13 = 5.371920351148152
 
 
+def _pade(x, b) -> np.ndarray:
+    """(V - U)^-1 (V + U), the Pade approximant with coefficients b of exp of
+    each matrix of the stack x; U holds the odd and V the even powers of x."""
+    ident = np.eye(x.shape[-1])
+    x2 = x @ x
+    if len(b) == 14:  # degree 13 from x2, x4 and x6 alone
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+        v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
+    else:
+        powers = [ident, x2]  # x^0, x^2, ..., x^(m - 1)
+        while len(powers) < len(b) // 2:
+            powers.append(powers[-1] @ x2)
+        u = x @ sum(b[2 * k + 1] * p for k, p in enumerate(powers))
+        v = sum(b[2 * k] * p for k, p in enumerate(powers))
+    return np.linalg.solve(v - u, v + u)
+
+
 def expm(a) -> np.ndarray:
-    """exp(a) of a square matrix or of each matrix of a stack (..., n, n), by
-    scaling and squaring with the degree-13 Pade approximant.  Each matrix
-    gets its own power of two 2^s, the least with ||a / 2^s||_1 < theta_13,
-    and only its own s squarings, so a stacked call equals per-matrix calls
-    bit for bit.  ValueError on NaN/Inf entries."""
+    """exp(a) of a square matrix or of each matrix of a stack (..., n, n).
+    Each matrix gets the least Pade degree 3, 5, 7 or 9 exact at its 1-norm,
+    else degree 13 with scaling and squaring by its own power of two 2^s, the
+    least with ||a / 2^s||_1 < theta_13; one stacked evaluation per degree, so
+    a stacked call equals per-matrix calls bit for bit.  ValueError on NaN/Inf
+    entries."""
     a = require_finite(np.asarray(a, dtype=complex))
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"square matrices required, got shape {a.shape}")
     x = a.reshape(-1, *a.shape[-2:])
-    s = np.maximum(0, np.frexp(np.abs(x).sum(axis=1).max(axis=1, initial=0) / _THETA13)[1])
-    x = x * np.ldexp(1.0, -s)[:, None, None]
-    b, ident = _PADE13, np.eye(x.shape[-1])
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
-    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
-    r = np.linalg.solve(v - u, v + u)
-    for i in range(s.max(initial=0)):
-        sel = s > i
-        r[sel] = r[sel] @ r[sel]
+    norm = np.abs(x).sum(axis=1).max(axis=1, initial=0)
+    r = np.empty_like(x)
+    # float comparisons only: searchsorted and integer masks would fault in
+    # more of numpy's library code on the propagator path (peak RSS)
+    for b, low, high in zip(_PADE, (-1.0, *_THETA), (*_THETA, np.inf)):
+        sel = (low < norm) & (norm <= high)
+        if not sel.any():
+            continue
+        s = np.maximum(0, np.frexp(norm[sel] / _THETA13)[1]) if len(b) == 14 else np.zeros(1, int)
+        y = _pade(x[sel] * np.ldexp(1.0, -s)[:, None, None], b)
+        for j in range(s.max()):
+            sq = s > j
+            y[sq] = y[sq] @ y[sq]
+        r[sel] = y
     return r.reshape(a.shape)
 
 

@@ -13,10 +13,10 @@ from .generator import (
     SIGMA_MINUS,
     SIGMA_PLUS,
     SIGMA_Z,
-    GeneratorSpec,
     Superoperator,
     adjoint_superoperator,
     build_superoperator,
+    gkls_matrices,
     rate_reports,
 )
 from .positivity import (
@@ -64,12 +64,10 @@ class PropagatorGrid:
 
 def builtin_tanh_example(mu: float) -> TimeDependentSpec:
     """Qubit spec with sigma+- at unit rate and sigma_z at rate -mu tanh(t):
-    G = [L_{sigma+-}, D_{sigma_z}] with c(t) = [1, -mu tanh t]."""
-    zero = np.zeros((2, 2), dtype=complex)
-    generators = np.array([
-        build_superoperator(GeneratorSpec(zero, ((SIGMA_PLUS, 1.0), (SIGMA_MINUS, 1.0)))).matrix,
-        build_superoperator(GeneratorSpec(zero, ((SIGMA_Z, 1.0),))).matrix,
-    ])
+    G = [L_{sigma+-}, D_{sigma_z}] with c(t) = [1, -mu tanh t], both built in
+    one `gkls_matrices` call (the sigma_z spec padded with a zero jump at rate 0)."""
+    ops = np.array([[SIGMA_PLUS, SIGMA_MINUS], [SIGMA_Z, np.zeros((2, 2))]], dtype=complex)
+    generators = gkls_matrices(np.zeros((2, 2, 2), dtype=complex), ops, np.array([[1.0, 1.0], [1.0, 0.0]]))
     return TimeDependentSpec(
         generators, lambda t: np.stack([np.ones_like(t), -mu * np.tanh(t)], axis=-1),
         t_start=0.0, t_end=np.inf)

@@ -66,6 +66,10 @@ def test_vec_sandwich_identity(seed):
     assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
+# the 1-norms up to which the Pade degrees 3, 5, 7 and 9 are exact (Higham 2005)
+THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068)
+
+
 def _random_with_norm(rng, n, norm):
     """A random complex n x n matrix of 1-norm `norm`."""
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -74,9 +78,10 @@ def _random_with_norm(rng, n, norm):
 
 @pytest.mark.parametrize("n", [1, 4, 9, 16, 64])
 def test_expm_matches_scipy(n):
-    # norms above theta_13 = 5.37 force up to eight squarings
+    # norms above theta_13 = 5.37 force up to eight squarings; 0.9 and 1.1
+    # times each theta_m select Pade degree m and the next one
     rng = np.random.default_rng(n)
-    for norm in (1e-4, 1e-2, 1.0, 5.0, 30.0, 1e2, 1e3):
+    for norm in (1e-4, 1e-2, 1.0, 5.0, 30.0, 1e2, 1e3, *(f * t for t in THETAS for f in (0.9, 1.1))):
         for _ in range(3):
             a = _random_with_norm(rng, n, norm)
             if n == 1:
@@ -93,8 +98,9 @@ def test_expm_zero_is_identity():
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_expm_stack_equals_per_matrix_calls(n):
     rng = np.random.default_rng(10 + n)
-    norms = (1e-3, 0.5, 5.0, 6.0, 40.0, 400.0, 0.02)
-    stack = np.array([_random_with_norm(rng, n, x) for x in norms]).reshape(7, 1, n, n)
+    # Pade degrees 3, 7, 13, 13, 13, 13, 5 and 9: every degree group in one call
+    norms = (1e-3, 0.5, 5.0, 6.0, 40.0, 400.0, 0.02, 1.5)
+    stack = np.array([_random_with_norm(rng, n, x) for x in norms]).reshape(len(norms), 1, n, n)
     got = expm(stack)
     assert got.shape == stack.shape
     for i in range(len(norms)):

@@ -65,3 +65,16 @@ def test_missing_report_fails(tmp_path, capsys):
     (tmp_path / "old" / "000_check.txt").write_text(_report(_doc()))
     assert report_drift.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
     assert "only in" in capsys.readouterr().out
+
+
+def test_two_missing_directories_fail(tmp_path, capsys):
+    assert report_drift.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    out = capsys.readouterr().out
+    assert "no such directory" in out and out.rstrip().endswith("0 moved: FAIL")
+
+
+def test_two_empty_directories_fail(tmp_path, capsys):
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    assert report_drift.main([str(tmp_path / "old"), str(tmp_path / "new")]) == 1
+    assert capsys.readouterr().out.rstrip() == "0 reports compared, 0 moved: FAIL"

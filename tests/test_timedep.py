@@ -335,6 +335,16 @@ def test_tanh_mu_zero_is_constant():
     assert np.allclose(s0.matrix, s1.matrix)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.25, 0.6])
+def test_tanh_generators_equal_two_spec_builds(mu):
+    zero = np.zeros((2, 2), dtype=complex)
+    want = np.array([
+        build_superoperator(GeneratorSpec(zero, ((SIGMA_PLUS, 1.0), (SIGMA_MINUS, 1.0)))).matrix,
+        build_superoperator(GeneratorSpec(zero, ((SIGMA_Z, 1.0),))).matrix,
+    ])
+    assert builtin_tanh_example(mu).generators.tobytes() == want.tobytes()
+
+
 def per_step_propagator(spec_at, d, s, t, steps):
     """Reference product: build each midpoint spec, take its expm, multiply."""
     h = (t - s) / steps
