@@ -66,6 +66,13 @@ def matrix(fixtures: str) -> list[list[str]]:
     clock = f"{fixtures}/clock_d3.json"
     runs += [["steady", clock, "--class", c] for c in ("cp", "2p", "schwarz")]
     runs += [["kms", clock], ["kms", clock, "--epsilon", "0.1"]]
+    # at the default --steps every factor has ||h L||_1 <= theta_3; on
+    # piecewise_d2 the first piece (H ~ sigma_x) makes L complex, the second
+    # (H ~ sigma_y, real jumps) real, so the window takes both propagator paths
+    piecewise = f"{fixtures}/piecewise_d2.json"
+    runs += [["divisibility", piecewise, "--class", c, *WINDOWS[0], "--grid", "3", "--samples", "8"]
+             for c in ("cp", "schwarz")]
+    runs.append(["divisibility", f"{fixtures}/tanh_06.json", "--class", "cp", *WINDOWS[0], "--grid", "3"])
     return runs
 
 

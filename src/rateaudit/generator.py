@@ -191,7 +191,7 @@ def hp_spectrum(m: np.ndarray):
     limit = HERMITICITY_TOL * np.maximum(1.0, svals[:, 0])
     if np.any(skew > limit):
         i = np.argmax(skew > limit)
-        raise ValueError(f"imaginary part {skew[i]:.3e} of the real form exceeds hermiticity_tol"
+        raise ValueError(f"imaginary part {skew[i]:.3e} of the real form exceeds HERMITICITY_TOL"
                          f"*max(1, ||R||) = {limit[i]:.3e}: the map is not Hermiticity-preserving")
     # real eigvals returns a float array when every eigenvalue is real
     vals = np.linalg.eigvals(full.real).astype(complex)

@@ -1,4 +1,4 @@
-"""Dense complex matrix kernels shared by every other module.
+"""Dense matrix kernels shared by every other module.
 
 Vectorization is column-stacking throughout: vec([[a,b],[c,d]]) = (a,c,b,d),
 so the superoperator of rho -> A rho B is B^T (x) A.
@@ -39,19 +39,20 @@ def as_matrix(m) -> np.ndarray:
 
 
 def require_finite(a: np.ndarray) -> np.ndarray:
-    """The complex array a (a matrix or a stack), once every entry is finite."""
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    """The array a (a matrix or a stack), once every entry is finite; a complex
+    entry is finite iff both of its parts are."""
+    if not np.isfinite(a).all():
         raise ValueError("matrix contains NaN/Inf entries")
     return a
 
 
-# Pade coefficients b_0..b_m of the degrees m = 3, 5, 7, 9, 13, and the 1-norm
-# up to which each approximant is exact to double precision (Higham, SIAM J.
-# Matrix Anal. Appl. 26:1179, 2005, Table 2.3).  Divided by b_0, so that V - U
-# is exactly I at a = 0 and the solve returns exactly I (LAPACK divides by a
-# pivot through its reciprocal, and 1 / b_0 * b_0 != 1).
+# Pade coefficients b_0..b_m of the degrees m = 5, 7, 9, 13, and the 1-norms
+# theta_3, theta_5, theta_7, theta_9 up to which the degrees 3, 5, 7, 9 are
+# exact to double precision (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005,
+# Table 2.3); below theta_3 `_taylor7` takes the place of degree 3.  Divided by
+# b_0, so that V - U is exactly I at a = 0 and the solve returns exactly I
+# (LAPACK divides by a pivot through its reciprocal, and 1 / b_0 * b_0 != 1).
 _PADE = tuple(tuple(c / b[0] for c in b) for b in (
-    (120.0, 60.0, 12.0, 1.0),
     (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
     (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
     (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0, 2162160.0,
@@ -61,6 +62,18 @@ _PADE = tuple(tuple(c / b[0] for c in b) for b in (
      33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)))
 _THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068)
 _THETA13 = 5.371920351148152
+
+
+def _taylor7(x) -> np.ndarray:
+    """The degree-7 Taylor polynomial of exp of each matrix of the stack x, in
+    four products and no solve.  For ||x||_1 <= theta_3 its truncation error
+    relative to ||x||_1 is at most sum_{k>7} theta_3^(k-1) / k! = 4.2e-18, within
+    2^-53 = 1.1e-16, while degree 6 leaves theta_3^6 / 7! = 2.2e-15: 7 is the
+    least degree m with theta_3^m / (m+1)! <= 2^-53."""
+    ident = np.eye(x.shape[-1])
+    x2 = x @ x
+    return (ident + x) + x2 @ ((ident / 2 + x / 6) + x2 @ ((ident / 24 + x / 120)
+                                                          + x2 @ (ident / 720 + x / 5040)))
 
 
 def _pade(x, b) -> np.ndarray:
@@ -85,12 +98,15 @@ def _pade(x, b) -> np.ndarray:
 
 def expm(a) -> np.ndarray:
     """exp(a) of a square matrix or of each matrix of a stack (..., n, n).
-    Each matrix gets the least Pade degree 3, 5, 7 or 9 exact at its 1-norm,
-    else degree 13 with scaling and squaring by its own power of two 2^s, the
-    least with ||a / 2^s||_1 < theta_13; one stacked evaluation per degree, so
-    a stacked call equals per-matrix calls bit for bit.  ValueError on NaN/Inf
-    entries."""
-    a = require_finite(np.asarray(a, dtype=complex))
+    Each matrix with ||a||_1 <= theta_3 gets the degree-7 Taylor polynomial,
+    any other the least Pade degree 5, 7 or 9 exact at its 1-norm, else degree
+    13 with scaling and squaring by its own power of two 2^s, the least with
+    ||a / 2^s||_1 < theta_13; one stacked evaluation per group.  The result
+    dtype is a's promoted to at least float64, so a real stack stays real; it
+    depends on the dtype alone, never on the values, so a stacked call equals
+    per-matrix calls bit for bit.  ValueError on NaN/Inf entries."""
+    a = np.asarray(a)
+    a = require_finite(a.astype(np.result_type(a, np.float64), copy=False))
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"square matrices required, got shape {a.shape}")
     x = a.reshape(-1, *a.shape[-2:])
@@ -98,7 +114,10 @@ def expm(a) -> np.ndarray:
     r = np.empty_like(x)
     # float comparisons only: searchsorted and integer masks would fault in
     # more of numpy's library code on the propagator path (peak RSS)
-    for b, low, high in zip(_PADE, (-1.0, *_THETA), (*_THETA, np.inf)):
+    small = norm <= _THETA[0]
+    if small.any():
+        r[small] = _taylor7(x[small])
+    for b, low, high in zip(_PADE, _THETA, (*_THETA[1:], np.inf)):
         sel = (low < norm) & (norm <= high)
         if not sel.any():
             continue
@@ -177,7 +196,7 @@ def psd_min_eig(m):
     """
     m = _require_square(m)
     if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within hermiticity_tol")
+        raise ValueError("matrix is not Hermitian within HERMITICITY_TOL")
     # the sum can overflow for entries near the float maximum
     vals, vecs = np.linalg.eigh(require_finite(0.5 * (m + m.conj().T)))
     lo, hi = float(vals[0]), float(vals[-1])  # eigh sorts ascending

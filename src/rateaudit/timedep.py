@@ -98,18 +98,22 @@ def propagator(
     Second-order in the step size; each factor is an exact semigroup element of
     the frozen midpoint generator, so intervals with nonnegative rates yield
     CPTP factors by construction.  All midpoint generators come from one
-    `matrices` call and all factors from one stacked `expm`.
+    `matrices` call and all factors from one stacked `expm`; a stack with no
+    nonzero imaginary entry is exponentiated and multiplied in real arithmetic.
     """
     if t < s:
         raise ValueError("t must be >= s")
     if steps < 1:
         raise ValueError("steps must be >= 1")
     d = spec.d
-    m = np.eye(d * d, dtype=complex)
+    m = np.eye(d * d)
     if t != s:
         h = (t - s) / steps
         mids = s + (np.arange(steps) + 0.5) * h
-        for factor in expm(h * spec.matrices(mids)):
+        gens = spec.matrices(mids)
+        x = h * (gens if gens.imag.any() else gens.real)
+        m = m.astype(x.dtype)
+        for factor in expm(x):
             m = factor @ m
     return Superoperator(d=d, matrix=m, picture=SCHROEDINGER)
 

@@ -323,6 +323,8 @@ def test_real_form_rejects_non_hermiticity_preserving_maps():
         rate_reports(1j * np.eye(4)[None])
     with pytest.raises(ValueError, match="not Hermiticity-preserving"):
         relaxation_rates(Superoperator(d=2, matrix=1j * np.eye(4)))
+    with pytest.raises(ValueError, match="HERMITICITY_TOL"):
+        hp_spectrum(1j * np.eye(4)[None])
     # an all-real spectrum still comes back complex
     vals, _ = hp_spectrum(build_superoperator(pauli_spec(2.0, 2.0, -1.0)).matrix[None])
     assert vals.dtype == complex and np.array_equal(vals.imag, np.zeros((1, 4)))

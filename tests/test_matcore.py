@@ -70,18 +70,20 @@ def test_vec_sandwich_identity(seed):
 THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068)
 
 
-def _random_with_norm(rng, n, norm):
-    """A random complex n x n matrix of 1-norm `norm`."""
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+def _random_with_norm(rng, n, norm, real=False):
+    """A random complex (or real) n x n matrix of 1-norm `norm`."""
+    a = rng.normal(size=(n, n)) + (0.0 if real else 1j * rng.normal(size=(n, n)))
     return a * (norm / np.linalg.norm(a, 1))
 
 
 @pytest.mark.parametrize("n", [1, 4, 9, 16, 64])
 def test_expm_matches_scipy(n):
     # norms above theta_13 = 5.37 force up to eight squarings; 0.9 and 1.1
-    # times each theta_m select Pade degree m and the next one
+    # times each theta_m select Pade degree m and the next one (below theta_3
+    # the Taylor polynomial, tried at its threshold and half of it too)
     rng = np.random.default_rng(n)
-    for norm in (1e-4, 1e-2, 1.0, 5.0, 30.0, 1e2, 1e3, *(f * t for t in THETAS for f in (0.9, 1.1))):
+    for norm in (1e-4, 1e-2, 1.0, 5.0, 30.0, 1e2, 1e3, *(f * t for t in THETAS for f in (0.9, 1.1)),
+                 0.5 * THETAS[0], THETAS[0]):
         for _ in range(3):
             a = _random_with_norm(rng, n, norm)
             if n == 1:
@@ -108,8 +110,10 @@ def test_expm_stack_equals_per_matrix_calls(n):
 
 
 def test_expm_rejects_nonfinite_and_non_square():
-    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
-        a = np.eye(3, dtype=complex)
+    # real input reaches the finiteness check uncast
+    for dtype, bad in ((complex, np.nan), (complex, np.inf), (complex, complex(0.0, -np.inf)),
+                       (float, np.nan), (float, -np.inf)):
+        a = np.eye(3, dtype=dtype)
         a[1, 2] = bad
         with pytest.raises(ValueError):
             expm(a)
@@ -119,6 +123,28 @@ def test_expm_rejects_nonfinite_and_non_square():
         expm(np.ones((2, 3)))
     with pytest.raises(ValueError):
         expm(np.ones(4))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_expm_keeps_a_real_stack_real(n):
+    rng = np.random.default_rng(20 + n)
+    # around theta_3, where the Taylor polynomial hands over to Pade degree 5,
+    # then the Pade degrees 5, 7, 9 and 13 (no squaring, two squarings)
+    norms = (0.5 * THETAS[0], 0.9 * THETAS[0], 0.5 * THETAS[0], 1.1 * THETAS[0], 0.2, 0.9, 2.0, 5.0, 20.0)
+    stack = np.array([_random_with_norm(rng, n, x, real=True) for x in norms])
+    # the third gets a 1-norm of exactly theta_3, still the Taylor group: its
+    # first column becomes theta_3 e_1, its others have 1-norm 0.5 theta_3
+    stack[2, :, 0] = 0.0
+    stack[2, 0, 0] = THETAS[0]
+    assert np.abs(stack[2]).sum(axis=0).max() == THETAS[0]
+    got = expm(stack)
+    assert got.dtype == np.float64
+    cplx = expm(stack.astype(complex))
+    for i, a in enumerate(stack):
+        assert got[i].tobytes() == expm(a).tobytes()
+        want = scipy.linalg.expm(a)
+        assert np.linalg.norm(got[i] - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(got[i] - cplx[i]) <= 1e-15 * np.linalg.norm(cplx[i])
 
 
 def test_eig_general_diagonal():
@@ -193,7 +219,7 @@ def test_psd_min_eig_scale_is_the_spectral_norm(case):
 
 
 def test_psd_min_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="HERMITICITY_TOL"):
         psd_min_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 

@@ -6,6 +6,8 @@ from conftest import ccp_spec
 from rateaudit.generator import (
     SIGMA_MINUS,
     SIGMA_PLUS,
+    SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     GeneratorSpec,
     Superoperator,
@@ -382,6 +384,29 @@ def test_piecewise_propagator_matches_per_step_loop(d):
     for s, t, steps in ((0.0, 2.0, 100), (0.2, 1.7, 37), (0.5, 1.0, 9)):
         ref = per_step_propagator(spec_at, d, s, t, steps)
         assert propagator(td, s, t, steps).matrix.tobytes() == ref.tobytes()
+
+
+def test_real_piecewise_propagator_takes_the_real_path(monkeypatch):
+    # H = c sigma_y is purely imaginary, so -iH and, with real jumps, L are real;
+    # a real H such as sigma_x makes L complex
+    from rateaudit import timedep
+
+    specs = [GeneratorSpec(0.3 * SIGMA_Y, ((SIGMA_MINUS, 1.0), (SIGMA_Z, 0.4))),
+             GeneratorSpec(-0.7 * SIGMA_Y, ((SIGMA_X, 0.5), (SIGMA_PLUS, -0.2))),
+             GeneratorSpec(0.5 * SIGMA_X, ((SIGMA_MINUS, 1.0),))]
+    times = [0.0, 0.6, 1.5]
+
+    def spec_at(t):
+        return specs[max(i for i, ti in enumerate(times) if t >= ti)]
+
+    dtypes = []
+    monkeypatch.setattr(timedep, "expm", lambda x: dtypes.append(x.dtype) or expm(x))
+    td = piecewise_spec(times, specs)
+    for s, t, steps, dtype in ((0.0, 1.4, 100, float), (0.2, 1.1, 37, float), (1.0, 2.0, 20, complex)):
+        ref = per_step_propagator(spec_at, 2, s, t, steps)
+        lam = propagator(td, s, t, steps)
+        assert dtypes.pop() == dtype and lam.matrix.dtype == complex
+        assert np.linalg.norm(lam.matrix - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_time_local_bound_audit_matches_per_time_loop():
