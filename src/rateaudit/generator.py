@@ -13,7 +13,6 @@ from .matcore import (
     ToleranceConfig,
     as_matrix,
     devectorize,
-    expm,
     is_hermitian,
     kernel_dimension,
     numerical_kernel,
@@ -158,13 +157,6 @@ def choi(s: Superoperator) -> np.ndarray:
     return _reshuffle(s.matrix, s.d) / s.d
 
 
-def superoperator_from_choi(c: np.ndarray) -> Superoperator:
-    """Inverse of the Choi reshuffle (round trip with choi up to the rounding
-    of the 1/d scale)."""
-    d = round(c.shape[0] ** 0.5)
-    return Superoperator(d=d, matrix=_reshuffle(d * c, d))
-
-
 @functools.cache
 def _hermitian_basis(d: int) -> np.ndarray:
     """Read-only columns vec(F) of the orthonormal basis |i><i|, (|i><j| + |j><i|)/sqrt2,
@@ -241,48 +233,38 @@ def relaxation_rates(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Ra
     return rate_reports(s.matrix[None], tol)[0]
 
 
-def _unit_trace(y: np.ndarray):
-    """The Hermitian part of y scaled to unit trace; None when that trace vanishes."""
-    y = 0.5 * (y + y.conj().T)
-    trace = np.trace(y).real
-    if abs(trace) < 1e-10:
-        return None
-    return y / trace
-
-
-def _kernel_state(s: Superoperator, x: np.ndarray):
-    """Kernel dimension of s and P0 x as a unit-trace Hermitian matrix, where
-    P0 = V (W^dag V)^{-1} W^dag projects onto ker s along the other spectral
-    subspaces (V, W the orthonormal right and left kernels of `numerical_kernel`).
-    The state is None when P0 does not exist (trivial kernel, or W^dag V
-    singular: a defective zero mode) or the trace of P0 x vanishes."""
-    v, w = numerical_kernel(s.matrix)
-    dim = v.shape[1]
-    if dim == 0:
-        return dim, None
-    overlap = w.conj().T @ v
-    # V, W have orthonormal columns, so the singular values of W^dag V lie in [0, 1]
-    if np.linalg.svd(overlap, compute_uv=False)[-1] <= RANK_TOL:
-        return dim, None
-    y = devectorize(v @ np.linalg.solve(overlap, w.conj().T @ x), s.d)
-    return dim, _unit_trace(y)
-
-
 def stationary_states(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL):
     """Kernel dimension m0 and a faithful stationary state if found: (m0, faithful).
 
-    The candidate is P0(I/d) of `_kernel_state`.  For a positive
-    trace-preserving semigroup P0 is the Cesaro mean of e^{tL}, so a faithful
-    stationary state exists iff P0(I/d) > 0 (M. M. Wolf, Quantum Channels &
-    Operations, 2012).  faithful is None when `_kernel_state` finds no state
-    or its least eigenvalue does not exceed psd_tol.
+    The candidate is P0(I/d) as a unit-trace Hermitian matrix, where
+    P0 = V (W^dag V)^{-1} W^dag projects onto ker s along the other spectral
+    subspaces (V, W the orthonormal right and left kernels of `numerical_kernel`).
+    For a positive trace-preserving semigroup P0 is the Cesaro mean of e^{tL},
+    so a faithful stationary state exists iff P0(I/d) > 0 (M. M. Wolf, Quantum
+    Channels & Operations, 2012).  faithful is None when P0 does not exist
+    (trivial kernel, or W^dag V singular: a defective zero mode), when the
+    trace of P0(I/d) vanishes, or when the least eigenvalue of the state does
+    not exceed psd_tol.
     """
     if s.picture != SCHROEDINGER:
         raise ValueError("stationary_states expects the Schroedinger picture")
-    m0, x = _kernel_state(s, vectorize(np.eye(s.d) / s.d))
-    if x is None or np.linalg.eigvalsh(x)[0] <= tol.psd_tol:
+    v, w = numerical_kernel(s.matrix)
+    m0 = v.shape[1]
+    if m0 == 0:
         return m0, None
-    return m0, x
+    overlap = w.conj().T @ v
+    # V, W have orthonormal columns, so the singular values of W^dag V lie in [0, 1]
+    if np.linalg.svd(overlap, compute_uv=False)[-1] <= RANK_TOL:
+        return m0, None
+    y = devectorize(v @ np.linalg.solve(overlap, w.conj().T @ vectorize(np.eye(s.d) / s.d)), s.d)
+    y = 0.5 * (y + y.conj().T)
+    trace = np.trace(y).real
+    if abs(trace) < 1e-10:
+        return m0, None
+    y = y / trace
+    if np.linalg.eigvalsh(y)[0] <= tol.psd_tol:
+        return m0, None
+    return m0, y
 
 
 def depolarizing_regulator(d: int) -> Superoperator:
@@ -300,34 +282,6 @@ def regularize_faithful(s: Superoperator, epsilon: float) -> Superoperator:
     return Superoperator(
         d=s.d, matrix=s.matrix + epsilon * reg.matrix, picture=s.picture
     )
-
-
-def integral_stationary(s: Superoperator, sigma, T: float):
-    """Time average (1/T) int_0^T e^{t L}(sigma) dt of a fixed point sigma of
-    the time-T map, T finite and positive: sigma itself when L(sigma) = 0,
-    else P0(sigma) (`_kernel_state`), since every other mode of sigma has
-    e^{lambda T} = 1, lambda != 0, and averages to zero.  ValueError when P0
-    is needed and does not exist.  The averaged state is a stationary state of
-    L (checked a posteriori), as a unit-trace Hermitian matrix.
-    """
-    if not (np.isfinite(T) and T > 0):
-        raise ValueError(f"T must be finite and positive, got {T!r}")
-    full = expm(T * s.matrix)
-    v0 = vectorize(sigma)
-    if np.linalg.norm(full @ v0 - v0) > 1e-8 * max(1.0, np.linalg.norm(v0)):
-        raise ValueError("sigma is not a fixed point of the time-T map")
-    stationary_tol = 1e-6 * max(1.0, s.norm())
-    # a sigma inside ker L is its own average, even where P0 does not exist
-    out = _unit_trace(as_matrix(sigma))
-    if out is not None and np.linalg.norm(s.apply(out)) <= stationary_tol:
-        return out
-    _, out = _kernel_state(s, v0)
-    if out is None:
-        raise ValueError("the kernel projector P0 does not exist or P0(sigma) has zero trace")
-    resid = np.linalg.norm(s.apply(out))
-    if resid > stationary_tol:
-        raise RuntimeError(f"time average failed to be stationary ({resid:.3e})")
-    return out
 
 
 def check_choi_trace_identity(s: Superoperator) -> float:

@@ -1,6 +1,5 @@
 """Weighted (s-family) inner products, the KMS adjoint, the symmetrized
-generator with real spectrum, Bendixson real-part bounds, and the s-detailed
-balance test."""
+generator with real spectrum, and Bendixson real-part bounds."""
 from __future__ import annotations
 
 import numpy as np
@@ -38,14 +37,6 @@ class WeightedInnerProduct:
     @property
     def d(self) -> int:
         return self.omega.shape[0]
-
-
-def s_inner(a, b, w: WeightedInnerProduct) -> complex:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape != (w.d, w.d) or b.shape != (w.d, w.d):
-        raise ValueError("operands must be d x d")
-    return complex(np.trace(a.conj().T @ w.w_s @ b @ w.w_1ms))
 
 
 def _sandwich_superoperator(m: np.ndarray) -> np.ndarray:
@@ -93,19 +84,3 @@ def bendixson_interval(m) -> tuple[float, float]:
         raise ValueError("square matrix required")
     vals = np.linalg.eigvalsh(0.5 * (m + m.conj().T))
     return float(vals[0]), float(vals[-1])
-
-
-def check_s_selfadjoint(
-    d_heis: Superoperator, w: WeightedInnerProduct, tol: float = 1e-9
-) -> tuple[bool, float]:
-    """Detailed-balance test: self-adjointness w.r.t. the s-inner product.
-
-    Residual is the max over matrix-unit pairs (E_ab, E_cd) of
-    |<D(E_ab), E_cd>_s - <E_ab, D(E_cd)>_s|.  With the Gram matrix
-    W = w^{1-s}^T (x) w^s, <A, B>_s = vec(A)^dag W vec(B), so these are the
-    entries of M^dag W - W M.
-    """
-    m = d_heis.matrix
-    gram = np.kron(w.w_1ms.T, w.w_s)
-    resid = float(np.max(np.abs(m.conj().T @ gram - gram @ m)))
-    return resid < tol, resid

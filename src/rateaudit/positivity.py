@@ -3,8 +3,7 @@ k-positivity / dissipativity refutation, map-level CP / k-positive / Schwarz
 checks, and the closed-form qubit Pauli oracle.
 
 Sampled checks are one-sided: they can certify a violation (the witness is
-replayable) but never certify a pass.  The variance-contractivity check is
-exact: its gap is one Hermitian form, so one eigensolve certifies either way.
+replayable) but never certify a pass.
 
 All four sampled checks minimise one kind of objective, b^dag F(a) b over unit
 vectors a in C^n and b in C^m.  The value is (a (x) b)^dag W (a (x) b) for one
@@ -43,7 +42,6 @@ from .generator import (
     HEISENBERG,
     SCHROEDINGER,
     Superoperator,
-    adjoint_superoperator,
     choi,
     maximally_entangled_projector,
 )
@@ -434,35 +432,3 @@ def check_map_class(
             return _NOT_APPLICABLE
         return _defect_verdict(m, 0.5 * m.matrix, schwarz_defect, cfg, tol)
     raise ValueError(f"unknown map class {map_class!r}")
-
-
-def variance_contractivity_check(
-    m_heis: Superoperator,
-    omega,
-    tol: ToleranceConfig = DEFAULT_TOL,
-) -> PositivityVerdict:
-    """Exact test of Var_w(Phi(A)) <= Var_w(A) for a state w invariant under Phi^*.
-
-    With a = vec(A), Var_w(A) = a^dag V a for V = w^T (x) I - vec(w) vec(w)^dag,
-    so the gap is the Hermitian form G = V - M^dag V M.  An invariant w and a
-    unital map give G vec(I) = 0; the margin is the least eigenvalue of G on
-    the traceless A, the witness a unit, traceless A.  A non-unital map is
-    `not_applicable` (margin NaN), as in `check_map_class(m_heis, "schwarz")`.
-    """
-    omega = np.asarray(omega, dtype=complex)
-    omega = 0.5 * (omega + omega.conj().T)
-    if np.linalg.eigvalsh(omega)[0] <= tol.psd_tol:
-        raise ValueError("omega must be full rank")
-    schro = adjoint_superoperator(m_heis)
-    if _too_large(np.linalg.norm(schro.apply(omega) - omega), m_heis):
-        raise ValueError("omega is not invariant under the Schroedinger map")
-    if non_unital(m_heis):
-        return _NOT_APPLICABLE
-    d, mat = m_heis.d, m_heis.matrix
-    w = vectorize(omega)
-    v = np.kron(omega.T, np.eye(d)) - np.outer(w, w.conj())
-    g = v - mat.conj().T @ v @ mat
-    g = 0.5 * (g + g.conj().T)
-    vals, vecs = _lowest(g[None], vectorize(np.eye(d))[None] / np.sqrt(d))
-    return _verdict(float(vals[0]), max(1.0, np.linalg.norm(g, 2)),
-                    devectorize(vecs[0], d), tol)

@@ -15,16 +15,15 @@ from rateaudit.generator import (
     choi,
     depolarizing_regulator,
     _hermitian_basis,
+    _reshuffle,
     gkls_matrices,
     hp_spectrum,
-    integral_stationary,
     maximally_entangled_projector,
     pauli_spec,
     rate_reports,
     regularize_faithful,
     relaxation_rates,
     stationary_states,
-    superoperator_from_choi,
 )
 from rateaudit.matcore import devectorize, kernel_dimension, numerical_kernel, vectorize
 from rateaudit.timedep import builtin_tanh_example
@@ -170,6 +169,13 @@ def test_choi_trace_identity():
 def test_choi_pauli_negative_eigenvalue():
     sup = build_superoperator(pauli_spec(1.0, 1.0, -1.0))
     assert np.linalg.eigvalsh(choi(sup))[0] < -1e-6
+
+
+def superoperator_from_choi(c):
+    """Oracle: the inverse of the Choi reshuffle (round trip with choi up to
+    the rounding of the 1/d scale)."""
+    d = round(c.shape[0] ** 0.5)
+    return Superoperator(d=d, matrix=_reshuffle(d * c, d))
 
 
 def test_choi_blocks_are_images_of_matrix_units():
@@ -343,6 +349,12 @@ def test_stationary_states_unique_and_trivial():
     zero = Superoperator(d=2, matrix=np.zeros((4, 4), dtype=complex))
     m0, _ = stationary_states(zero)
     assert m0 == 4
+    # trivial kernel: no P0, no state
+    assert stationary_states(Superoperator(d=2, matrix=-np.eye(4))) == (0, None)
+    # kernel spanned by sigma_z: P0(I/2) = 0 has zero trace
+    z = vectorize(SIGMA_Z)
+    traceless = Superoperator(d=2, matrix=np.outer(z, z.conj()) / 2 - np.eye(4))
+    assert stationary_states(traceless) == (1, None)
 
 
 def test_stationary_states_exact_on_degenerate_kernels():
@@ -414,56 +426,3 @@ def test_regularize_converges_to_original():
     ]
     assert all(a > b for a, b in zip(dists, dists[1:]))
     assert dists[-1] < 0.2
-
-
-def test_integral_stationary():
-    sup = build_superoperator(pauli_spec(1, 1, 1))
-    out = integral_stationary(sup, np.eye(2) / 2, T=2.0)
-    assert np.linalg.norm(out - np.eye(2) / 2) < 1e-8
-    # already-stationary sigma of the dephasing generator
-    sup = build_superoperator(dephasing_spec())
-    sigma = np.diag([0.7, 0.3]).astype(complex)
-    out = integral_stationary(sup, sigma, T=1.5)
-    assert np.linalg.norm(out - sigma) < 1e-8
-    with pytest.raises(ValueError):
-        integral_stationary(sup, np.array([[0.6, 0.2], [0.2, 0.4]]), T=1.5)
-
-
-def test_integral_stationary_periodic_d3_is_diagonal_part():
-    # H = diag(0, 1, 3) 2 pi / T makes e^{T L} the identity: every sigma is a
-    # fixed point, and the period average keeps exactly its diagonal
-    T = 1.0
-    sup = build_superoperator(GeneratorSpec(np.diag([0.0, 1.0, 3.0]) * 2 * np.pi / T, ()))
-    sigma = np.array([[0.5, 0.1j, 0.05], [-0.1j, 0.3, 0.02], [0.05, 0.02, 0.2]])
-    out = integral_stationary(sup, sigma, T)
-    np.testing.assert_array_equal(out, np.diag(np.diag(sigma)))
-
-
-@pytest.mark.parametrize("T", [0.0, -1.0, np.inf, np.nan])
-def test_integral_stationary_rejects_period(T):
-    sup = build_superoperator(pauli_spec(1, 1, 1))
-    with pytest.raises(ValueError, match="T must be finite and positive"):
-        integral_stationary(sup, np.eye(2) / 2, T)
-
-
-def test_integral_stationary_rejects_defective_zero_mode():
-    # M = |0><1| + 2 pi (|3><2| - |2><3|) on vec space: e^{TM} at T = 1 fixes
-    # e0 + e2 (the rotation block is the identity), but M(e0 + e2) = 2 pi e3, so
-    # sigma is not in ker M and its average needs P0, which does not exist: the
-    # zero mode is a Jordan block (W^dag V singular)
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1] = 1.0
-    m[2, 3], m[3, 2] = -2 * np.pi, 2 * np.pi
-    sup = Superoperator(d=2, matrix=m)
-    with pytest.raises(ValueError, match="P0 does not exist"):
-        integral_stationary(sup, devectorize([1.0, 0.0, 1.0, 0.0], 2), 1.0)
-
-
-def test_integral_stationary_kernel_sigma_needs_no_projector():
-    # M = |0><1| on vec space has a defective zero mode, so P0 does not exist,
-    # but sigma = |0><0| has M vec(sigma) = 0: it is its own period average
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 1] = 1.0
-    sup = Superoperator(d=2, matrix=m)
-    sigma = np.diag([1.0, 0.0]).astype(complex)
-    np.testing.assert_array_equal(integral_stationary(sup, sigma, 1.0), sigma)

@@ -16,11 +16,34 @@ from rateaudit.generator import (
 from rateaudit.kms import (
     WeightedInnerProduct,
     bendixson_interval,
-    check_s_selfadjoint,
     kms_adjoint,
-    s_inner,
     symmetrized_generator,
 )
+from rateaudit.matcore import as_matrix
+
+
+def s_inner(a, b, w):
+    """Oracle: <A, B>_s = Tr(A^dag w^s B w^{1-s})."""
+    a = as_matrix(a)
+    b = as_matrix(b)
+    if a.shape != (w.d, w.d) or b.shape != (w.d, w.d):
+        raise ValueError("operands must be d x d")
+    return complex(np.trace(a.conj().T @ w.w_s @ b @ w.w_1ms))
+
+
+def check_s_selfadjoint(d_heis, w, tol=1e-9):
+    """Oracle of `symmetrized_generator`, the detailed-balance test:
+    self-adjointness w.r.t. the s-inner product.
+
+    Residual is the max over matrix-unit pairs (E_ab, E_cd) of
+    |<D(E_ab), E_cd>_s - <E_ab, D(E_cd)>_s|.  With the Gram matrix
+    W = w^{1-s}^T (x) w^s, <A, B>_s = vec(A)^dag W vec(B), so these are the
+    entries of M^dag W - W M.
+    """
+    m = d_heis.matrix
+    gram = np.kron(w.w_1ms.T, w.w_s)
+    resid = float(np.max(np.abs(m.conj().T @ gram - gram @ m)))
+    return resid < tol, resid
 
 
 def faithful_setup(seed, d, eps=0.05):

@@ -1,12 +1,9 @@
-import itertools
-
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import ccp_spec
 from rateaudit.generator import (
-    SIGMA_Z,
     GeneratorSpec,
     Superoperator,
     adjoint_superoperator,
@@ -40,7 +37,6 @@ from rateaudit.positivity import (
     qubit_pauli_classify,
     replay_conditional_k_positivity,
     schwarz_defect,
-    variance_contractivity_check,
 )
 
 FAST = SamplerConfig(n_restarts=16, refine_steps=80)
@@ -258,75 +254,6 @@ def test_map_class_unknown():
 def test_map_class_schwarz_not_applicable_to_non_unital_map():
     doubled = Superoperator(d=2, matrix=2.0 * np.eye(4, dtype=complex))
     verdict = check_map_class(doubled, "schwarz", cfg=FAST)
-    assert verdict.status == NOT_APPLICABLE
-    assert np.isnan(verdict.margin) and not verdict.violated
-
-
-def test_variance_contractivity_identity_and_depolarizing():
-    ident = Superoperator(d=2, matrix=np.eye(4, dtype=complex), picture="heisenberg")
-    verdict = variance_contractivity_check(ident, np.eye(2) / 2)
-    assert verdict.status == CERTIFIED_PASS
-    assert abs(verdict.margin) < 1e-10
-
-    p = 0.3
-    dep = map_from_action(
-        2,
-        lambda x: (1 - p) * x + p * (np.trace(x) / 2) * np.eye(2),
-        picture="heisenberg",
-    )
-    omega = np.eye(2) / 2
-    a = np.array([[1.0, 2.0], [3.0, -1.0]], dtype=complex)  # traceless
-
-    def var(x):
-        return float((np.trace(omega @ x.conj().T @ x) - abs(np.trace(omega @ x)) ** 2).real)
-
-    assert var(dep.apply(a)) / var(a) == pytest.approx((1 - p) ** 2, abs=1e-12)
-    assert variance_contractivity_check(dep, omega).status == CERTIFIED_PASS
-
-
-def test_variance_contractivity_schwarz_semigroup_member():
-    heis = adjoint_superoperator(build_superoperator(pauli_spec(2.0, 2.0, -1.0)))
-    member = Superoperator(
-        d=2, matrix=scipy.linalg.expm(0.7 * heis.matrix), picture="heisenberg"
-    )
-    verdict = variance_contractivity_check(member, np.eye(2) / 2)
-    assert verdict.status == CERTIFIED_PASS
-
-
-def test_variance_contractivity_pauli_grid_closed_form():
-    # e^{0.7 L} multiplies sigma_j by lam_j = exp(-0.7 (g1 + g2 + g3 - g_j)); with
-    # omega = I/2 a unit, traceless A has Var = 1/2, so the exact margin is
-    # (1 - max_j lam_j^2) / 2
-    omega = np.eye(2) / 2
-
-    def var(x):
-        return float((np.trace(omega @ x.conj().T @ x) - abs(np.trace(omega @ x)) ** 2).real)
-
-    statuses = set()
-    for g in itertools.product(np.linspace(-1.0, 1.5, 6), repeat=3):
-        heis = adjoint_superoperator(build_superoperator(pauli_spec(*g)))
-        member = Superoperator(
-            d=2, matrix=scipy.linalg.expm(0.7 * heis.matrix), picture="heisenberg"
-        )
-        verdict = variance_contractivity_check(member, omega)
-        exact = (1 - max(np.exp(-1.4 * (sum(g) - gj)) for gj in g)) / 2
-        assert abs(verdict.margin - exact) <= 1e-12 * max(1.0, abs(exact))
-        a = verdict.witness
-        assert abs(np.linalg.norm(a) - 1) < 1e-12 and abs(np.trace(a)) < 1e-12
-        replay = var(a) - var(member.apply(a))
-        assert abs(replay - verdict.margin) <= 1e-12 * max(1.0, abs(verdict.margin))
-        assert verdict.status == (CERTIFIED_FAIL if exact < 0 else CERTIFIED_PASS)
-        statuses.add(verdict.status)
-    assert statuses == {CERTIFIED_PASS, CERTIFIED_FAIL}
-
-
-def test_variance_contractivity_not_applicable_to_non_unital_map():
-    # Phi(Y) = Y + Tr(Y) sigma_z: its adjoint X -> X + Tr(sigma_z X) I fixes I/2,
-    # but Phi(I) = I + 2 sigma_z
-    m = map_from_action(2, lambda y: y + np.trace(y) * SIGMA_Z, picture="heisenberg")
-    omega = np.eye(2) / 2
-    assert np.allclose(adjoint_superoperator(m).apply(omega), omega)
-    verdict = variance_contractivity_check(m, omega)
     assert verdict.status == NOT_APPLICABLE
     assert np.isnan(verdict.margin) and not verdict.violated
 
