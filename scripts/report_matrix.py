@@ -73,6 +73,9 @@ def matrix(fixtures: str) -> list[list[str]]:
     runs += [["divisibility", piecewise, "--class", c, *WINDOWS[0], "--grid", "3", "--samples", "8"]
              for c in ("cp", "schwarz")]
     runs.append(["divisibility", f"{fixtures}/tanh_06.json", "--class", "cp", *WINDOWS[0], "--grid", "3"])
+    # H = diag(1e200, -1e200), no jumps: the Frobenius norms of Q C Q overflow,
+    # so the SVD rule of `is_hermitian` decides (it rejects: exit 3)
+    runs.append(["check", f"{fixtures}/hamiltonian_1e200.json", "--ccp"])
     return runs
 
 

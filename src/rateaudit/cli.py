@@ -11,8 +11,10 @@ Exit codes: 0 pass, 1 violation, 2 inconclusive under --require-certified,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -56,7 +58,23 @@ class UsageError(Exception):
 # significant digits so identical inputs give byte-identical reports
 
 
+_render_key = functools.lru_cache(maxsize=256)(json.dumps)  # of str(key); few keys recur
+
+
+def _render_float(f: float) -> str:
+    if not math.isfinite(f):
+        raise ValueError("non-finite float in report")
+    s = format(f, ".17g")
+    return s if "." in s or "e" in s else s + ".0"
+
+
 def _render(obj) -> str:
+    if type(obj) is float:  # exact types first: np.float64 and np.complex128 are subclasses
+        return _render_float(obj)
+    if type(obj) is complex:
+        return f"[{_render_float(obj.real)}, {_render_float(obj.imag)}]"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(map(_render, obj)) + "]"
     if obj is None:
         return "null"
     if isinstance(obj, bool):
@@ -64,24 +82,16 @@ def _render(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        f = float(obj)
-        if not np.isfinite(f):
-            raise ValueError("non-finite float in report")
-        s = format(f, ".17g")
-        if "." not in s and "e" not in s and "E" not in s:
-            s += ".0"
-        return s
+        return _render_float(float(obj))
     if isinstance(obj, (complex, np.complexfloating)):
         return _render([obj.real, obj.imag])
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in obj.items())
+        items = ", ".join(f"{_render_key(str(k))}: {_render(v)}" for k, v in obj.items())
         return "{" + items + "}"
     if isinstance(obj, np.ndarray):
         return _render(obj.tolist())
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
     raise TypeError(f"cannot render {type(obj)!r}")
 
 

@@ -142,6 +142,14 @@ def maximally_entangled_projector(d: int) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+@functools.cache
+def ccp_projector(d: int) -> np.ndarray:
+    """Read-only Q = I - P+, the projector of the conditional CP test Q C Q >= 0."""
+    q = np.eye(d * d, dtype=complex) - maximally_entangled_projector(d)
+    q.flags.writeable = False
+    return q
+
+
 def _reshuffle(m: np.ndarray, d: int) -> np.ndarray:
     """Swap axes 0 and 3 of m seen as a (d, d, d, d) tensor; an involution.
 

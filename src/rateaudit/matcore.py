@@ -174,12 +174,20 @@ def eig_general(m) -> list[tuple[complex, np.ndarray]]:
 
 
 def is_hermitian(m) -> bool:
-    """||m - m^dag||_2 <= HERMITICITY_TOL max(1, ||m||_2), for m or each of a finite stack."""
+    """||m - m^dag||_2 <= HERMITICITY_TOL max(1, ||m||_2), for m or each of a finite stack.
+    Implied by the same test in Frobenius norms with ||m||_F / sqrt(n) for ||m||_2, as
+    ||D||_2 <= ||D||_F and ||m||_F <= sqrt(n) ||m||_2: the SVDs run only when it fails."""
     m = _require_square(m) if np.ndim(m) == 2 else m
     adj = m.conj().swapaxes(-1, -2)
     if np.array_equal(m, adj):  # exactly Hermitian: within any tolerance
         return True
-    defect = np.linalg.norm(m - adj, 2, axis=(-2, -1))
+    diff = m - adj
+    with np.errstate(all="ignore"):  # a norm that overflows leaves the SVDs to decide
+        defect = np.linalg.norm(diff, axis=(-2, -1))
+        scale = np.maximum(1.0, np.linalg.norm(m, axis=(-2, -1)) / np.sqrt(m.shape[-1]))
+    if np.isfinite(scale).all() and np.all(defect <= HERMITICITY_TOL * scale):
+        return True
+    defect = np.linalg.norm(diff, 2, axis=(-2, -1))
     scale = np.maximum(1.0, np.linalg.norm(m, 2, axis=(-2, -1)))
     return bool(np.all(defect <= HERMITICITY_TOL * scale))
 

@@ -42,8 +42,8 @@ from .generator import (
     HEISENBERG,
     SCHROEDINGER,
     Superoperator,
+    ccp_projector,
     choi,
-    maximally_entangled_projector,
 )
 
 CERTIFIED_PASS = "certified_pass"
@@ -117,9 +117,8 @@ def check_ccp(s: Superoperator, tol: ToleranceConfig = DEFAULT_TOL) -> Positivit
     """
     if s.picture != SCHROEDINGER:
         raise ValueError("check_ccp expects the Schroedinger picture")
-    d = s.d
     c = s.d**2 * choi(s)
-    q = np.eye(d * d, dtype=complex) - maximally_entangled_projector(d)
+    q = ccp_projector(s.d)
     return _verdict(*psd_min_eig(q @ c @ q), tol)
 
 

@@ -114,7 +114,7 @@ def propagator(
         x = h * (gens if gens.imag.any() else gens.real)
         m = m.astype(x.dtype)
         for factor in expm(x):
-            m = factor @ m
+            m = np.dot(factor, m)
     return Superoperator(d=d, matrix=m, picture=SCHROEDINGER)
 
 

@@ -56,6 +56,19 @@ def test_render_report_float_format():
     assert '"b": 0.10000000000000001' in s
     assert '"c": [[1.0, 2.0]]' in s
     assert '"d": null' in s and '"e": true' in s
+    # numpy scalars and arrays, bool and int, signed zero, subnormal and
+    # exponent forms, a tuple, nested dicts and keys that need escaping
+    s = render_report({
+        "f64": np.float64(0.1), "c128": np.complex128(-1.5 + 0.25j), "i64": np.int64(-7),
+        "no": False, "n": 3, "nz": -0.0, "tiny": 5e-324, "big": 1e16, "small": 1e-7,
+        "tup": (1.0, 2, "x"), "arr": np.array([[1 + 0j, 2.5j], [0.5, -1]]),
+        "k\"ey\n\u00e9": {2: [0.5 - 0j]}})
+    assert s == (
+        '{"f64": 0.10000000000000001, "c128": [-1.5, 0.25], "i64": -7, "no": false, "n": 3, '
+        '"nz": -0.0, "tiny": 4.9406564584124654e-324, "big": 10000000000000000.0, '
+        '"small": 9.9999999999999995e-08, "tup": [1.0, 2, "x"], '
+        '"arr": [[[1.0, 0.0], [0.0, 2.5]], [[0.5, 0.0], [-1.0, 0.0]]], '
+        '"k\\"ey\\n\\u00e9": {"2": [[0.5, 0.0]]}}\n')
 
 
 def test_load_spec_file_errors(tmp_path, fixtures):

@@ -196,6 +196,54 @@ def test_is_hermitian_matrices_and_stacks():
         is_hermitian(np.array([[0.0, np.nan], [np.nan, 0.0]]))
 
 
+def _is_hermitian_svd(m) -> bool:
+    """The 2-norm rule alone, two SVDs per matrix: the oracle of `is_hermitian`."""
+    defect = np.linalg.norm(m - m.conj().swapaxes(-1, -2), 2, axis=(-2, -1))
+    scale = np.maximum(1.0, np.linalg.norm(m, 2, axis=(-2, -1)))
+    return bool(np.all(defect <= HERMITICITY_TOL * scale))
+
+
+@pytest.mark.parametrize("n", [2, 4, 9])
+def test_is_hermitian_frobenius_pretest_decides_as_the_svd_rule(n):
+    rng = np.random.default_rng(n)
+    for magnitude in (1e-3, 1.0, 1e4):
+        a = magnitude * (rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n)))
+        herm = 0.5 * (a + a.conj().swapaxes(1, 2))
+        scale = np.maximum(1.0, np.linalg.norm(herm, 2, axis=(1, 2)))[:, None, None]
+        unit = rng.normal(size=(50, n, n)) + 1j * rng.normal(size=(50, n, n))
+        unit /= np.linalg.norm(unit, 2, axis=(1, 2))[:, None, None]
+        for rel in np.logspace(-16, -9, 15):
+            m = herm + rel * scale * unit
+            assert [is_hermitian(x) for x in m] == [_is_hermitian_svd(x) for x in m]
+            assert is_hermitian(m) == _is_hermitian_svd(m)
+
+
+def test_is_hermitian_svd_stage_runs_where_the_pretest_fails():
+    # rank one, ||m||_F = ||m||_2 = 100: the pre-test scale ||m||_F / 3 is a
+    # third of the 2-norm scale, and the rank-one defect has ||D||_F = ||D||_2
+    v = np.arange(1.0, 10.0) * (10.0 / np.linalg.norm(np.arange(1.0, 10.0)))
+    herm = np.outer(v, v).astype(complex)
+    w = np.ones(9) / 3.0
+    for factor, want in ((0.5, True), (2.0, False)):
+        # m - m^dag = 2 i c w w^dag, of 2-norm factor * HERMITICITY_TOL * 100
+        m = herm + 1j * (0.5 * factor * HERMITICITY_TOL * 100.0) * np.outer(w, w)
+        pretest = HERMITICITY_TOL * max(1.0, np.linalg.norm(m) / 3.0)
+        assert np.linalg.norm(m - m.conj().T) > pretest
+        assert is_hermitian(m) == _is_hermitian_svd(m) == want
+
+
+@pytest.mark.parametrize("big", [1.2e154, 1e200, 1e300])  # ||m||_F^2 overflows
+def test_is_hermitian_huge_and_tiny_entries_raise_no_floating_point_error(big):
+    skew = np.array([[0.0, 1j], [1j, 0.0]])  # anti-Hermitian, ||skew - skew^dag||_2 = 2
+    cases = [np.diag([big, -big]) + rel * big * skew for rel in (1e-15, 1e-9)]
+    cases += [np.array([[1e-170, 3e-170], [3e-170, 1e-170]]) + 1e-180 * skew]
+    with np.errstate(all="raise"):
+        for m in cases:
+            assert is_hermitian(m) == _is_hermitian_svd(m)
+        assert is_hermitian(np.array(cases[::2])) and not is_hermitian(np.array(cases))
+    assert [_is_hermitian_svd(m) for m in cases] == [True, False, True]
+
+
 def test_psd_min_eig_basic():
     tol = DEFAULT_TOL.psd_tol
     val, scale, _ = psd_min_eig(np.eye(3))

@@ -372,6 +372,21 @@ def test_tanh_propagator_matches_per_step_loop(mu):
         assert np.linalg.norm(lam - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("mu", [0.0, 0.6])
+def test_real_tanh_propagator_product_matches_matmul_loop(mu):
+    # the tanh stack is real: its factors are multiplied in real arithmetic,
+    # by np.dot in `propagator` and by @ here, bit for bit the same
+    td = builtin_tanh_example(mu)
+    for s, t, steps in ((0.0, 1.0, 200), (0.3, 2.1, 60), (1.7, 1.9, 25)):
+        h = (t - s) / steps
+        gens = td.matrices(s + (np.arange(steps) + 0.5) * h)
+        assert not gens.imag.any()
+        m = np.eye(4)
+        for factor in expm(h * gens.real):
+            m = factor @ m
+        assert propagator(td, s, t, steps).matrix.tobytes() == m.astype(complex).tobytes()
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_piecewise_propagator_matches_per_step_loop(d):
     times = [0.0, 0.45, 1.1]
