@@ -22,8 +22,7 @@ numbers, and a half-step keeps a few such stacks alive at once.  The kernels:
 - (conditional) k-positivity: a = phi, b = psi in C^(k d) and
   F(phi) = (id_k (x) L)(|phi><phi|); W is an index permutation of
   `extended_superoperator`.  The conditional test keeps psi _|_ phi by
-  solving each half-step in an orthonormal basis of the other vector's
-  complement.
+  deflating the other vector out of each half-step's form (`_lowest`).
 - Schwarz and dissipativity (Heisenberg matrix M): a = vec(X), b = v in C^d
   and F(X) is the defect D(X) = Phi(X^dag X) - Phi(X)^dag K(X)
   - K(X)^dag Phi(X), so W has side d^3.  K = M / 2 gives the Schwarz defect
@@ -160,20 +159,22 @@ def _outer_vec(v: np.ndarray) -> np.ndarray:
 
 def _lowest(h: np.ndarray, against=None):
     """Lowest eigenpairs of a stack of Hermitian matrices h (R, n, n): values
-    (R,) and unit vectors (R, n).  With `against` (R, n), row r is taken over
-    unit vectors orthogonal to against[r], solved in an orthonormal basis of
-    its complement."""
-    if against is None:
-        vals, vecs = np.linalg.eigh(h)
-        return vals[:, 0], vecs[:, :, 0]
-    # columns 1.. of the unitary Q of [against | I] span against's complement
-    r, n = against.shape
-    basis = np.zeros((r, n, n + 1), dtype=against.dtype)
-    basis[:, :, 0] = against
-    basis[:, :, 1:] = np.eye(n)
-    q = np.linalg.qr(basis)[0][:, :, 1:]
-    vals, vecs = np.linalg.eigh(_adj(q) @ h @ q)
-    return vals[:, 0], _apply(q, vecs[:, :, 0])
+    (R,) and unit vectors (R, n).  With unit rows `against` (R, n), row r is
+    taken over unit vectors orthogonal to a = against[r] by rank-one
+    deflation (Golub & Van Loan, Matrix Computations, 8.1): with
+    P = I - |a><a|, P h P + lift |a><a| is h compressed to a's complement
+    plus lift on a, and lift = 2 max(1, sum_ij |h_ij|) > ||h||_2 puts the
+    lowest eigenpair in the complement.  It is h - (x + x^dag) with
+    x = |a><v|, u = h|a>, c = Re <a|u> and v = u - (c + lift) / 2 |a>."""
+    if against is not None:
+        a = against
+        u = _apply(h, a)
+        c = (a.conj() * u).sum(axis=1).real
+        lift = 2.0 * np.maximum(1.0, np.abs(h).reshape(len(h), -1).sum(axis=1))
+        x = a[:, :, None] * (u - (0.5 * (c + lift))[:, None] * a).conj()[:, None, :]
+        h = h - (x + _adj(x))
+    vals, vecs = np.linalg.eigh(h)
+    return vals[:, 0], vecs[:, :, 0]
 
 
 class _Minimum(NamedTuple):

@@ -118,22 +118,22 @@ def propagator(
     return Superoperator(d=d, matrix=m, picture=SCHROEDINGER)
 
 
-def build_grid(
-    spec: TimeDependentSpec, times, steps_per_interval: int = 200
-) -> PropagatorGrid:
+def _interval_maps(spec: TimeDependentSpec, times, steps: int):
+    """(times, [Lambda_{t_{i+1}, t_i}]) of a strictly increasing grid of >= 2 times."""
     times = [float(t) for t in times]
     if len(times) < 2 or any(b <= a for a, b in zip(times, times[1:])):
         raise ValueError("a grid needs at least two strictly increasing times")
-    d = spec.d
-    props = []
-    cums = [Superoperator(d=d, matrix=np.eye(d * d, dtype=complex))]
-    for a, b in zip(times, times[1:]):
-        p = propagator(spec, a, b, steps_per_interval)
-        props.append(p)
-        cums.append(Superoperator(d=d, matrix=p.matrix @ cums[-1].matrix))
-    return PropagatorGrid(
-        times=tuple(times), propagators=tuple(props), cumulative=tuple(cums)
-    )
+    return times, [propagator(spec, a, b, steps) for a, b in zip(times, times[1:])]
+
+
+def build_grid(
+    spec: TimeDependentSpec, times, steps_per_interval: int = 200
+) -> PropagatorGrid:
+    times, props = _interval_maps(spec, times, steps_per_interval)
+    cums = [Superoperator(d=spec.d, matrix=np.eye(spec.d**2, dtype=complex))]
+    for p in props:
+        cums.append(Superoperator(d=spec.d, matrix=p.matrix @ cums[-1].matrix))
+    return PropagatorGrid(times=tuple(times), propagators=tuple(props), cumulative=tuple(cums))
 
 
 def _interval_verdict(p: Superoperator, div_class: str, cfg: SamplerConfig, tol):
@@ -162,15 +162,13 @@ def divisibility_audit(
     """
     if div_class not in CLASSES:
         raise ValueError(f"unknown divisibility class {div_class!r}")
-    grid = build_grid(spec, grid_times, steps_per_interval)
+    times, props = _interval_maps(spec, grid_times, steps_per_interval)
     results = []
     first_violation = None
-    for i, p in enumerate(grid.propagators):
-        icfg = replace(
-            cfg, seed=int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0])
-        )
+    for i, p in enumerate(props):
+        icfg = replace(cfg, seed=int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0]))
         verdict = _interval_verdict(p, div_class, icfg, tol)
-        results.append(((grid.times[i], grid.times[i + 1]), verdict))
+        results.append(((times[i], times[i + 1]), verdict))
         if first_violation is None and verdict.violated:
             first_violation = i
     return results, first_violation

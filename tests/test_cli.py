@@ -28,6 +28,16 @@ from rateaudit.cli import (
     render_report,
 )
 from rateaudit.generator import Superoperator, build_superoperator, relaxation_rates
+from rateaudit.positivity import replay_conditional_k_positivity
+
+
+def _report_matrix():
+    """The module scripts/report_matrix.py."""
+    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "report_matrix.py"
+    loader = importlib.util.spec_from_file_location("report_matrix", script)
+    module = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(module)
+    return module
 
 
 def run(capsys, *argv):
@@ -181,6 +191,37 @@ def test_check_k_positivity(capsys, fixtures):
         capsys, "check", str(fixtures / "pauli_111-1.json"), "--k", "1", "--samples", "12"
     )
     assert code == EXIT_PASS
+
+
+def test_check_k_witnesses_replay(capsys, fixtures):
+    # every `check --k` run of the report matrix reports a pair of orthogonal
+    # unit vectors (phi, psi) whose replayed value is the reported margin
+    runs = {(argv[1], int(argv[argv.index("--k") + 1]))
+            for argv in _report_matrix().matrix(str(fixtures)) if argv[0] == "check" and "--k" in argv}
+    runs = sorted((spec, k) for spec, k in runs if k >= 1)
+    assert len(runs) == 4 * 2 + 3  # the d = 2 static specs at k = 1, 2; signed_d3 at k = 1, 2, 3
+    for spec, k in runs:
+        code, out, err = run(capsys, "check", spec, "--k", str(k))
+        assert code in (EXIT_PASS, EXIT_VIOLATION) and not err, (spec, k)
+        verdict = json.loads(out)["verdicts"][0]
+        phi, psi = (np.array([complex(*z) for z in v]) for v in verdict["witness"])
+        assert abs(np.linalg.norm(phi) - 1.0) <= 1e-14 and abs(np.linalg.norm(psi) - 1.0) <= 1e-14
+        assert abs(np.vdot(phi, psi)) <= 1e-14, (spec, k)
+        s = build_superoperator(load_spec_file(spec)[1])
+        margin = verdict["margin"]
+        replayed = replay_conditional_k_positivity(s, k, (phi, psi))
+        assert abs(replayed - margin) <= 1e-12 * max(1.0, abs(margin)), (spec, k)
+
+
+def test_conditional_k_check_runs_no_qr(capsys, fixtures, monkeypatch):
+    # the constrained half-steps deflate the other vector, so no QR runs
+    def no_qr(*args, **kwargs):
+        raise AssertionError("np.linalg.qr called")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    code, out, err = run(capsys, "check", str(fixtures / "signed_d3.json"), "--k", "3")
+    assert code == EXIT_VIOLATION and not err
+    assert json.loads(out)["verdicts"][0]["status"] == "violation_found"
 
 
 def test_divisibility(capsys, fixtures):
@@ -395,14 +436,10 @@ def _parsed(parser, argv):
 
 def test_cached_parser_parses_like_a_fresh_one(capsys, fixtures, tmp_path):
     # no flag set by one call may leak into the namespace of a later one
-    script = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "report_matrix.py"
-    loader = importlib.util.spec_from_file_location("report_matrix", script)
-    report_matrix = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(report_matrix)
     first = ["check", str(fixtures / "pauli_111.json"), "--k", "2", "--require-certified",
              "--tol", "1e-9", "--format", "text", "--timing", "--out", str(tmp_path / "r.txt")]
     assert run(capsys, *first)[0] == EXIT_INCONCLUSIVE
-    for argv in [first] + report_matrix.matrix(str(fixtures)):
+    for argv in [first] + _report_matrix().matrix(str(fixtures)):
         assert _parsed(cli._parser, argv) == _parsed(cli.build_parser(), argv), argv
 
 

@@ -318,13 +318,16 @@ def test_status_rule(samples, statuses, scale):
 
 
 def _lowest_reference(h, against=None):
-    # the per-vector solve that the stacked `_lowest` replaced
-    if against is None:
-        vals, vecs = np.linalg.eigh(h)
-        return float(vals[0]), vecs[:, 0]
-    q = np.linalg.qr(np.column_stack([against, np.eye(against.size)]))[0][:, 1:]
-    vals, vecs = np.linalg.eigh(q.conj().T @ h @ q)
-    return float(vals[0]), q @ vecs[:, 0]
+    # the per-vector solve of the stacked `_lowest`: the rank-one deflation
+    # h - (x + x^dag) = P h P + lift |a><a|, with the engine's arithmetic order
+    if against is not None:
+        u = h @ against
+        c = (against.conj() * u).sum().real
+        lift = 2.0 * max(1.0, np.abs(h).sum())
+        x = np.outer(against, (u - 0.5 * (c + lift) * against).conj())
+        h = h - (x + x.conj().T)
+    vals, vecs = np.linalg.eigh(h)
+    return float(vals[0]), vecs[:, 0]
 
 
 def _alternating_min_reference(f_of_a, g_of_b, starts, cfg, scale, orthogonal=False):
@@ -483,23 +486,31 @@ def test_stacked_forms_match_the_public_maps(kind, d, k):
 
 
 def _complement_case(kind, r, n, rng):
+    """(h, against) of one `test_lowest_on_the_complement` case."""
+    h = rng.normal(size=(r, n, n)) + 1j * rng.normal(size=(r, n, n))
+    h = h + h.conj().transpose(0, 2, 1)
     against = rng.normal(size=(r, n)) + 1j * rng.normal(size=(r, n))
     if kind == "e0":
         against = np.zeros((r, n), dtype=complex)
         against[:, 0] = 1.0
     elif kind == "first_zero":
         against[:, 0] = 0.0
-    return against / np.linalg.norm(against, axis=1, keepdims=True)
+    elif kind == "own_lowest":  # the complement's minimum is h's second eigenvalue
+        against = np.linalg.eigh(h)[1][:, :, 0]
+    elif kind == "positive_definite":  # every eigenvalue at least 1e6
+        h = h @ h.conj().transpose(0, 2, 1) + 1e6 * np.eye(n)
+    elif kind == "zero":
+        h = np.zeros_like(h)
+    return h, against / np.linalg.norm(against, axis=1, keepdims=True)
 
 
 @pytest.mark.parametrize("r", [1, 3])
-@pytest.mark.parametrize("kind", ["e0", "first_zero", "random"])
+@pytest.mark.parametrize("kind", ["e0", "first_zero", "random", "own_lowest",
+                                  "positive_definite", "zero", "n2"])
 def test_lowest_on_the_complement(kind, r):
-    n = 5
+    n = 2 if kind == "n2" else 5  # n = 2: the one-dimensional complement of d = 2, k = 1
     rng = np.random.default_rng(np.random.SeedSequence([r, len(kind)]))
-    h = rng.normal(size=(r, n, n)) + 1j * rng.normal(size=(r, n, n))
-    h = h + h.conj().transpose(0, 2, 1)
-    against = _complement_case(kind, r, n, rng)
+    h, against = _complement_case(kind, r, n, rng)
     vals, vecs = _lowest(h, against)
     assert vals.shape == (r,) and vecs.shape == (r, n)
     for hr, ar, val, vec in zip(h, against, vals, vecs):
@@ -509,6 +520,8 @@ def test_lowest_on_the_complement(kind, r):
         dense = np.linalg.eigvalsh(basis.conj().T @ hr @ basis)[0]
         assert abs(val - dense) <= 1e-12 * max(1.0, abs(dense))
         assert abs((vec.conj() @ hr @ vec).real - val) <= 1e-12 * max(1.0, abs(val))
+        if kind == "own_lowest":
+            assert abs(val - np.linalg.eigvalsh(hr)[1]) <= 1e-12 * max(1.0, abs(val))
     # a row's result does not depend on the stack it is solved in
     one_vals, one_vecs = _lowest(h[:1], against[:1])
     assert one_vals[0] == vals[0] and np.array_equal(one_vecs[0], vecs[0])
