@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import as_matrix
+from .matcore import as_matrix, residual_exceeds
 from .generator import HEISENBERG, SCHROEDINGER, Superoperator
 from .bounds import rate_constant
 
@@ -47,8 +47,7 @@ def _classical_matrix(m_u: np.ndarray, s: Superoperator) -> np.ndarray:
     """K_ij read from the rotated matrix of s; its imaginary part must be rounding."""
     idx = np.arange(s.d) * (s.d + 1)
     k = m_u[np.ix_(idx, idx)]
-    imag = np.max(np.abs(k.imag))
-    if imag > 1e-10 and imag > 1e-10 * max(1.0, s.norm()):  # scale >= 1: SVD only above 1e-10
+    if residual_exceeds(np.max(np.abs(k.imag)), 1e-10, s.matrix):
         raise AssertionError("classical projection has a large imaginary part")
     return k.real.copy()
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, is_hermitian
+from .matcore import DEFAULT_TOL, ToleranceConfig, as_matrix, is_hermitian, residual_exceeds
 from .generator import HEISENBERG, Superoperator, adjoint_superoperator
 
 
@@ -49,7 +49,7 @@ def _require_stationary(s_heis: Superoperator, w: WeightedInnerProduct):
         raise ValueError("expected a Heisenberg-picture generator")
     schro = adjoint_superoperator(s_heis)
     resid = np.linalg.norm(schro.apply(w.omega))
-    if resid > 1e-8 * max(1.0, s_heis.norm()):
+    if residual_exceeds(resid, 1e-8, s_heis.matrix):
         raise ValueError(f"weight is not stationary (residual {resid:.3e})")
     return schro
 

@@ -147,6 +147,12 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(as_matrix(m), 2))
 
 
+def residual_exceeds(residual: float, rel: float, m) -> bool:
+    """residual > rel max(1, ||m||_2), with the SVD of m only when residual >
+    rel, so a residual that passes costs no norm; a NaN exceeds nothing."""
+    return bool(residual > rel and residual > rel * spectral_norm(m))
+
+
 def _require_square(m: np.ndarray) -> np.ndarray:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:

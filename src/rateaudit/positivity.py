@@ -36,11 +36,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .matcore import DEFAULT_TOL, ToleranceConfig, devectorize, psd_min_eig, vectorize
+from .matcore import (
+    DEFAULT_TOL,
+    ToleranceConfig,
+    devectorize,
+    psd_min_eig,
+    residual_exceeds,
+    vectorize,
+)
 from .generator import (
     HEISENBERG,
     SCHROEDINGER,
     Superoperator,
+    adjoint_superoperator,
     ccp_projector,
     choi,
 )
@@ -297,7 +305,7 @@ def dissipativity_defect(s_heis: Superoperator, x) -> np.ndarray:
         - x.conj().T @ s_heis.apply(x)
     )
     herm = 0.5 * (out + out.conj().T)
-    if np.linalg.norm(out - herm) > 1e-10 * max(1.0, s_heis.norm()):
+    if residual_exceeds(np.linalg.norm(out - herm), 1e-10, s_heis.matrix):
         raise AssertionError("dissipativity defect is not Hermitian")
     return herm
 
@@ -347,13 +355,6 @@ def _defect_verdict(m: Superoperator, cross: np.ndarray, defect, cfg: SamplerCon
     return _verdict(margin, scale, witness, tol, cfg.n_restarts)
 
 
-def _too_large(residual: float, m: Superoperator) -> bool:
-    """residual > 1e-8 max(1, ||m||), taking the spectral norm of m only when
-    residual > 1e-8: a map that passes costs no SVD here, so a sampled check
-    that follows takes the one norm it needs."""
-    return bool(residual > 1e-8 and residual > 1e-8 * m.norm())
-
-
 def check_dissipativity(
     s_heis: Superoperator,
     cfg: SamplerConfig = SamplerConfig(),
@@ -363,7 +364,7 @@ def check_dissipativity(
     if s_heis.picture != HEISENBERG:
         raise ValueError("check_dissipativity expects the Heisenberg picture")
     eye = np.eye(s_heis.d, dtype=complex)
-    if _too_large(np.linalg.norm(s_heis.apply(eye)), s_heis):
+    if residual_exceeds(np.linalg.norm(s_heis.apply(eye)), 1e-8, s_heis.matrix):
         raise ValueError("generator is not unital")
     identity = np.eye(s_heis.d**2, dtype=complex)
     return _defect_verdict(s_heis, identity, dissipativity_defect, cfg, tol)
@@ -406,7 +407,7 @@ def schwarz_defect(m: Superoperator, x) -> np.ndarray:
 def non_unital(m: Superoperator) -> bool:
     """The unitality test of the Schwarz check: ||Phi(I) - I|| > 1e-8 max(1, ||Phi||)."""
     eye = np.eye(m.d, dtype=complex)
-    return _too_large(np.linalg.norm(m.apply(eye) - eye), m)
+    return residual_exceeds(np.linalg.norm(m.apply(eye) - eye), 1e-8, m.matrix)
 
 
 def check_map_class(
@@ -418,9 +419,10 @@ def check_map_class(
     """Map-level test for a class of `bounds.CLASSES`.
 
     'cp' is the exact Choi test; '2p' and 'positive' are sampled
-    k-positivity with k = 2 and k = 1; 'schwarz' is the sampled Schwarz
-    check of a map in the Heisenberg picture, `not_applicable` (margin NaN)
-    when that map is not unital.
+    k-positivity with k = 2 and k = 1, the same for a map and its adjoint;
+    'schwarz' is the sampled Schwarz check of m's Heisenberg form (m if so
+    tagged, else its adjoint), `not_applicable` (margin NaN) when that form
+    is not unital.
     """
     if map_class == "cp":
         return _verdict(*psd_min_eig(choi(m)), tol)
@@ -428,7 +430,8 @@ def check_map_class(
         k = 2 if map_class == "2p" else 1
         return _k_positivity_verdict(m, k, cfg, tol, orthogonal=False)
     if map_class == "schwarz":
-        if non_unital(m):
+        heis = m if m.picture == HEISENBERG else adjoint_superoperator(m)
+        if non_unital(heis):
             return _NOT_APPLICABLE
-        return _defect_verdict(m, 0.5 * m.matrix, schwarz_defect, cfg, tol)
+        return _defect_verdict(heis, 0.5 * heis.matrix, schwarz_defect, cfg, tol)
     raise ValueError(f"unknown map class {map_class!r}")

@@ -14,7 +14,6 @@ from .generator import (
     SIGMA_PLUS,
     SIGMA_Z,
     Superoperator,
-    adjoint_superoperator,
     build_superoperator,
     gkls_matrices,
     rate_reports,
@@ -136,14 +135,6 @@ def build_grid(
     return PropagatorGrid(times=tuple(times), propagators=tuple(props), cumulative=tuple(cums))
 
 
-def _interval_verdict(p: Superoperator, div_class: str, cfg: SamplerConfig, tol):
-    if div_class == "schwarz":
-        # the Schwarz inequality is tested on the Heisenberg adjoint, which is
-        # unital when p preserves the trace
-        p = adjoint_superoperator(p)
-    return check_map_class(p, div_class, cfg, tol)
-
-
 def divisibility_audit(
     spec: TimeDependentSpec,
     grid_times,
@@ -153,8 +144,8 @@ def divisibility_audit(
     tol: ToleranceConfig = DEFAULT_TOL,
 ):
     """Per-interval verdicts for a divisibility class of `bounds.CLASSES`:
-    each interval propagator is tested with `check_map_class`, 'schwarz' on
-    its Heisenberg adjoint (`not_applicable` when that is not unital).
+    each interval propagator is tested with `check_map_class` ('schwarz' on
+    its Heisenberg adjoint, `not_applicable` when that is not unital).
 
     Returns (list of ((t_i, t_{i+1}), verdict), index of first violating
     interval or None).  Per-interval sampler seeds derive from (cfg.seed,
@@ -167,7 +158,7 @@ def divisibility_audit(
     first_violation = None
     for i, p in enumerate(props):
         icfg = replace(cfg, seed=int(np.random.SeedSequence([cfg.seed, i]).generate_state(1)[0]))
-        verdict = _interval_verdict(p, div_class, icfg, tol)
+        verdict = check_map_class(p, div_class, icfg, tol)
         results.append(((times[i], times[i + 1]), verdict))
         if first_violation is None and verdict.violated:
             first_violation = i

@@ -27,8 +27,13 @@ from rateaudit.cli import (
     random_ccp_spec,
     render_report,
 )
-from rateaudit.generator import Superoperator, build_superoperator, relaxation_rates
-from rateaudit.positivity import replay_conditional_k_positivity
+from rateaudit.generator import (
+    Superoperator,
+    adjoint_superoperator,
+    build_superoperator,
+    relaxation_rates,
+)
+from rateaudit.positivity import dissipativity_defect, replay_conditional_k_positivity
 
 
 def _report_matrix():
@@ -211,6 +216,24 @@ def test_check_k_witnesses_replay(capsys, fixtures):
         margin = verdict["margin"]
         replayed = replay_conditional_k_positivity(s, k, (phi, psi))
         assert abs(replayed - margin) <= 1e-12 * max(1.0, abs(margin)), (spec, k)
+
+
+def test_check_dissipative_witnesses_replay(capsys, fixtures):
+    # every `check --dissipative` run of the report matrix reports a
+    # unit-Frobenius X whose defect's least eigenvalue is the reported margin
+    runs = sorted(argv[1] for argv in _report_matrix().matrix(str(fixtures))
+                  if argv[0] == "check" and "--dissipative" in argv)
+    assert len(runs) == 4 + 1  # the d = 2 static specs and signed_d3
+    for spec in runs:
+        code, out, err = run(capsys, "check", spec, "--dissipative")
+        assert code in (EXIT_PASS, EXIT_VIOLATION) and not err, spec
+        verdict = json.loads(out)["verdicts"][0]
+        x = np.array([[complex(*z) for z in row] for row in verdict["witness"]])
+        assert abs(np.linalg.norm(x) - 1.0) <= 1e-12, spec
+        heis = adjoint_superoperator(build_superoperator(load_spec_file(spec)[1]))
+        margin = verdict["margin"]
+        replayed = np.linalg.eigvalsh(dissipativity_defect(heis, x))[0]
+        assert abs(replayed - margin) <= 1e-12 * max(1.0, abs(margin)), spec
 
 
 def test_conditional_k_check_runs_no_qr(capsys, fixtures, monkeypatch):

@@ -17,6 +17,8 @@ from rateaudit.matcore import (
     is_hermitian,
     numerical_kernel,
     psd_min_eig,
+    residual_exceeds,
+    spectral_norm,
     vectorize,
 )
 
@@ -342,3 +344,20 @@ def test_numerical_kernel_full_rank_and_residuals():
     assert np.allclose(left.conj().T @ left, np.eye(dim), atol=1e-12)
     for w in left.T:
         assert np.linalg.norm(m.conj().T @ w) <= 10 * RANK_TOL * smax
+
+
+@pytest.mark.parametrize("norm", [0.25, 1.0, 4.0])
+def test_residual_exceeds_decides_as_the_eager_rule(norm):
+    # residual > rel max(1, ||m||_2), with residuals at and next to rel and rel ||m||_2
+    m = np.diag([norm, -0.5 * norm, 0.1 * norm])
+    assert spectral_norm(m) == norm
+    for rel in (1e-10, 1e-8):
+        edges = (rel, rel * norm)
+        residuals = [0.0, 1e-3 * rel, 1e3 * rel * max(1.0, norm), np.inf]
+        residuals += [np.nextafter(x, toward) for x in edges for toward in (0.0, np.inf)]
+        for residual in residuals + list(edges):
+            eager = residual > rel * max(1.0, spectral_norm(m))
+            assert residual_exceeds(residual, rel, m) == eager, (rel, residual)
+        assert residual_exceeds(np.nextafter(rel * max(1.0, norm), np.inf), rel, m)
+        assert not residual_exceeds(rel * max(1.0, norm), rel, m)
+        assert not residual_exceeds(float("nan"), rel, m)

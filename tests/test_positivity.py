@@ -3,13 +3,18 @@ import pytest
 import scipy.linalg
 
 from conftest import ccp_spec
+from rateaudit import matcore
 from rateaudit.generator import (
+    SIGMA_MINUS,
     GeneratorSpec,
     Superoperator,
     adjoint_superoperator,
     build_superoperator,
     pauli_spec,
+    regularize_faithful,
+    stationary_states,
 )
+from rateaudit.kms import WeightedInnerProduct, kms_adjoint
 from rateaudit.matcore import DEFAULT_TOL, vectorize
 from rateaudit.positivity import (
     CERTIFIED_FAIL,
@@ -34,6 +39,7 @@ from rateaudit.positivity import (
     check_map_class,
     dissipativity_defect,
     extended_superoperator,
+    non_unital,
     qubit_pauli_classify,
     replay_conditional_k_positivity,
     schwarz_defect,
@@ -256,6 +262,38 @@ def test_map_class_schwarz_not_applicable_to_non_unital_map():
     verdict = check_map_class(doubled, "schwarz", cfg=FAST)
     assert verdict.status == NOT_APPLICABLE
     assert np.isnan(verdict.margin) and not verdict.violated
+
+
+def test_map_class_schwarz_takes_the_heisenberg_form():
+    # the CPTP amplitude-damping channel e^L, tagged Schroedinger, is tested on
+    # its unital adjoint, exactly as that adjoint is when passed itself
+    gen = build_superoperator(GeneratorSpec(hamiltonian=np.zeros((2, 2)), jumps=((SIGMA_MINUS, 1.0),)))
+    ch = Superoperator(d=2, matrix=scipy.linalg.expm(gen.matrix))
+    heis = adjoint_superoperator(ch)
+    got, want = check_map_class(ch, "schwarz", FAST), check_map_class(heis, "schwarz", FAST)
+    assert want.status == NO_VIOLATION_FOUND
+    assert got.status == want.status and got.margin == want.margin
+    assert got.witness.tobytes() == want.witness.tobytes()
+    for cls in ("cp", "2p", "positive"):
+        assert check_map_class(ch, cls, FAST).status == check_map_class(heis, cls, FAST).status
+
+
+def test_passing_residual_tests_take_no_spectral_norm(monkeypatch):
+    # a residual within rel never needs ||m||_2, so no SVD runs for it
+    sup = regularize_faithful(build_superoperator(ccp_spec(5, 3)), 0.05)
+    heis = adjoint_superoperator(sup)
+    w = WeightedInnerProduct(stationary_states(sup)[1])
+    channel = adjoint_superoperator(Superoperator(d=3, matrix=scipy.linalg.expm(sup.matrix)))
+    x = np.arange(9.0).reshape(3, 3) + 1j
+
+    def no_norm(*args, **kwargs):
+        raise AssertionError("spectral norm taken")
+
+    monkeypatch.setattr(Superoperator, "norm", no_norm)
+    monkeypatch.setattr(matcore, "spectral_norm", no_norm)
+    assert kms_adjoint(heis, w).picture == "heisenberg"
+    assert dissipativity_defect(heis, x).shape == (3, 3)
+    assert not non_unital(channel)
 
 
 def _matrix_unit_loop(d):

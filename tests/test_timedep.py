@@ -16,7 +16,7 @@ from rateaudit.generator import (
 )
 from rateaudit.bounds import CLASSES, audit_rates
 from rateaudit.matcore import DEFAULT_TOL, devectorize, expm, vectorize
-from rateaudit.positivity import NO_VIOLATION_FOUND, SamplerConfig, extended_superoperator
+from rateaudit.positivity import NO_VIOLATION_FOUND, SamplerConfig, check_map_class, extended_superoperator
 from rateaudit.timedep import (
     NOT_APPLICABLE,
     PropagatorGrid,
@@ -204,11 +204,9 @@ def test_divisibility_schwarz_amplitude_damping():
 def test_interval_verdict_schwarz_not_applicable():
     # maps that fail to preserve the trace have non-unital adjoints and the
     # Schwarz verdict is marked inapplicable rather than evaluated
-    from rateaudit.timedep import _interval_verdict
-
     for factor in (2.0, 1.0 + 1e-7):
         scaled = Superoperator(d=2, matrix=factor * np.eye(4, dtype=complex))
-        verdict = _interval_verdict(scaled, "schwarz", FAST, DEFAULT_TOL)
+        verdict = check_map_class(scaled, "schwarz", FAST, DEFAULT_TOL)
         assert verdict.status == NOT_APPLICABLE
 
 
